@@ -9,7 +9,11 @@
 namespace llpmst {
 
 void finalize_result(const CsrGraph& g, MstResult& r) {
-  std::sort(r.edges.begin(), r.edges.end());
+  // Engines that emit ids in order (llp-prim-parallel) skip the sort; on
+  // unsorted output the check stops at the first descent.
+  if (!std::is_sorted(r.edges.begin(), r.edges.end())) {
+    std::sort(r.edges.begin(), r.edges.end());
+  }
   LLPMST_ASSERT(std::adjacent_find(r.edges.begin(), r.edges.end()) ==
                 r.edges.end());
   r.total_weight = 0;

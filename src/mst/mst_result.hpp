@@ -21,12 +21,14 @@ namespace llpmst {
 struct MstAlgoStats {
   HeapStats heap;                     // heap traffic (Prim family)
   std::uint64_t fixed_via_heap = 0;   // vertices fixed by a heap pop
-  std::uint64_t fixed_via_mwe = 0;    // vertices fixed through the R set
+  std::uint64_t fixed_via_mwe = 0;    // vertices early-fixed across an MWE
   std::uint64_t staged_in_q = 0;      // deferred heap inserts (LLP-Prim Q)
   std::uint64_t edges_relaxed = 0;    // arc relaxations performed
   std::uint64_t rounds = 0;           // Boruvka rounds / LLP iterations
   std::uint64_t pointer_jumps = 0;    // advance() steps in pointer jumping
-  std::uint64_t llp_sweeps = 0;       // worklist/frontier sweeps (LLP family)
+  // Worklist sweeps (LLP family).  LLP-Prim counts one per R drain; the
+  // parallel engine counts each inline drain and each team sweep as one.
+  std::uint64_t llp_sweeps = 0;
   std::uint64_t llp_advances = 0;     // advance() calls, when llp_solve ran
   /// Per-run verdict: anything other than kOk means the result is PARTIAL —
   /// the edge set covers only the work completed before the run stopped

@@ -36,7 +36,7 @@ struct RoundRecord {
   std::uint64_t round = 0;       // 1-based round / sweep / super-step index
   std::uint64_t components = 0;  // components (or unfixed vertices) remaining
   std::uint64_t edges = 0;       // edges surviving / frontier size entering
-  std::uint64_t advances = 0;    // forbidden-state advances or edges emitted
+  std::uint64_t advances = 0;    // LLP advances, edges emitted, or early fixes
   double wall_ms = 0.0;          // wall time of this round
   /// max/mean per-worker busy time in the round's dominant sweep;
   /// 1.0 = perfectly balanced, 0.0 = not measured this round.

@@ -106,6 +106,35 @@ TEST_F(Chaos, LlpPrimParallelMatchesKruskalUnderAHundredSeeds) {
   EXPECT_GT(fail::fire_count("llp_prim/handoff"), 0u);
 }
 
+TEST_F(Chaos, LlpPrimParallelWideFrontierMatchesKruskalUnderSeeds) {
+  // road-baseline's R sets stay narrow, so the run above drains them all
+  // inline.  A hub whose MWEs fix thousands of vertices at once makes R
+  // wide, so these schedules perturb the team sweep's claim CAS and bags.
+  const CsrGraph g = csr(test::with_hub(
+      test::wide_hub_road_grid(kConnectedSeed), kConnectedSeed));
+  const MstResult reference = kruskal(g);
+  ThreadPool pool(4);
+
+  const char* spec = "pool/task=20%yield;llp_prim/handoff=25%sleep(50)";
+  std::string error;
+  ASSERT_EQ(fail::configure(spec, &error), 2u) << error;
+
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    fail::set_seed(seed);
+    test::CountingExecutor exec(pool);
+    RunContext ctx;
+    ctx.attach_executor(&exec);
+    const MstResult r = llp_prim_parallel(g, ctx);
+    ASSERT_EQ(r.stats.outcome, RunOutcome::kOk) << "failpoint seed " << seed;
+    ASSERT_EQ(r.edges, reference.edges) << "failpoint seed " << seed;
+    const VerifyResult v = verify_spanning_forest(g, r);
+    ASSERT_TRUE(v.ok) << v.error << "\nfailpoint seed " << seed;
+    // One region initializes the engine's arrays; any more are team sweeps.
+    ASSERT_GT(exec.regions(), 1u) << "no team sweep ran, seed " << seed;
+  }
+  EXPECT_GT(fail::fire_count("pool/task"), 0u);
+}
+
 TEST_F(Chaos, LlpBoruvkaMatchesKruskalUnderAHundredSeeds) {
   const CsrGraph g = sparse_random_graph();
   const MstResult reference = kruskal(g);

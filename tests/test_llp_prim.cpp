@@ -12,6 +12,8 @@
 #include "llp/llp_prim_parallel.hpp"
 #include "mst/kruskal.hpp"
 #include "mst/prim.hpp"
+#include "obs/metrics.hpp"
+#include "obs/round_stats.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -157,6 +159,79 @@ TEST_P(LlpPrimParallel, DenseRmatGraph) {
   ThreadPool pool(static_cast<std::size_t>(GetParam()));
   RunContext ctx(pool);
   EXPECT_EQ(llp_prim_parallel(g, ctx).edges, kruskal(g).edges);
+}
+
+/// A road grid, and the same grid plus a hub whose MWEs make R thousands
+/// of vertices wide, past the inline cutoff.
+struct HubPair {
+  CsrGraph plain;
+  CsrGraph hubbed;
+};
+
+HubPair hub_pair(std::uint64_t seed) {
+  const EdgeList road = test::wide_hub_road_grid(seed);
+  return {csr(road), csr(test::with_hub(road, seed))};
+}
+
+TEST_P(LlpPrimParallel, WideFrontierRunsTheTeamSweepAndMatchesKruskal) {
+  const HubPair graphs = hub_pair(4);
+  const CsrGraph& g = graphs.hubbed;
+  ASSERT_GT(g.degree(static_cast<VertexId>(g.num_vertices() - 1)),
+            2 * kLlpPrimTeamArcs);
+  ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  test::CountingExecutor exec(pool);
+  RunContext ctx;
+  ctx.attach_executor(&exec);
+
+  ASSERT_EQ(llp_prim_parallel(graphs.plain, ctx).edges,
+            kruskal(graphs.plain).edges);
+  const std::size_t plain_regions = exec.regions();
+  const MstResult r = llp_prim_parallel(g, ctx);
+  EXPECT_EQ(r.edges, kruskal(g).edges);
+  EXPECT_EQ(r.stats.fixed_via_heap + r.stats.fixed_via_mwe, g.num_vertices());
+  if (GetParam() > 1) {
+    // Same grid, same set-up regions: the extra ones are team sweeps.
+    EXPECT_GT(exec.regions() - plain_regions, plain_regions);
+  }
+}
+
+TEST(LlpPrimParallelStats, InlineDrainsCountLikeSequentialLlpPrim) {
+  // On a sparse road every R set stays narrow, so at 4 threads the engine
+  // drains inline in llp_prim's own LIFO order: one sweep per drain and
+  // the same fixes, relaxations and heap pops.
+  const CsrGraph g = medium_connected_graph(5);
+  ThreadPool pool(4);
+  RunContext ctx(pool);
+  const MstResult par = llp_prim_parallel(g, ctx);
+  const MstResult seq = llp_prim(g);
+  ASSERT_EQ(par.edges, seq.edges);
+  EXPECT_EQ(par.stats.llp_sweeps, seq.stats.llp_sweeps);
+  EXPECT_EQ(par.stats.fixed_via_mwe, seq.stats.fixed_via_mwe);
+  EXPECT_EQ(par.stats.fixed_via_heap, seq.stats.fixed_via_heap);
+  EXPECT_EQ(par.stats.edges_relaxed, seq.stats.edges_relaxed);
+}
+
+TEST(LlpPrimParallelStats, RoundRecordsCountEveryEarlyFix) {
+  // One RoundRecord per sweep, inline or team; `advances` counts the
+  // vertices each one early-fixed, so they add up to fixed_via_mwe.
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  const HubPair graphs = hub_pair(6);
+  ThreadPool pool(4);
+  RunContext ctx(pool);
+  obs::reset_rounds();
+  obs::set_enabled(true);
+  const MstResult r = llp_prim_parallel(graphs.hubbed, ctx);
+  obs::set_enabled(false);
+  const std::vector<obs::RoundRecord> rounds = obs::snapshot_rounds();
+  obs::reset_rounds();
+  ASSERT_EQ(r.edges, kruskal(graphs.hubbed).edges);
+  ASSERT_EQ(rounds.size(), r.stats.llp_sweeps);
+  std::uint64_t advances = 0;
+  for (const obs::RoundRecord& round : rounds) {
+    EXPECT_EQ(round.label, "llp_prim_parallel");
+    advances += round.advances;
+  }
+  EXPECT_EQ(advances, r.stats.fixed_via_mwe);
 }
 
 TEST(LlpPrimParallelStats, MweShareGrowsWithDensity) {

@@ -9,6 +9,7 @@
 // they are out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -17,7 +18,9 @@
 
 #include "core/run_context.hpp"
 #include "graph/csr_graph.hpp"
+#include "graph/generators/road.hpp"
 #include "llp/llp_boruvka.hpp"
+#include "llp/llp_prim_parallel.hpp"
 #include "mst/auto.hpp"
 #include "mst/kruskal.hpp"
 #include "scenario/scenario.hpp"
@@ -290,6 +293,27 @@ TEST(VirtualClockTest, WatchdogWithZeroTimeoutCancelsPromptly) {
   EXPECT_TRUE(token.cancelled());
 }
 
+TEST_F(SimDeterminism, LlpPrimParallelWideFrontierMatchesKruskalAcrossSeeds) {
+  // A hub makes LLP-Prim's R set wide enough for the team sweep, so the
+  // simulated schedules interleave its claim CAS and fetch-min.
+  const CsrGraph g = csr(test::with_hub(test::wide_hub_road_grid(2), 2));
+  const MstResult reference = kruskal(g);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SimExecutor::Options o;
+    o.seed = seed;
+    o.workers = 4;
+    SimExecutor exec(o);
+    test::CountingExecutor counting(exec);
+    RunContext ctx;
+    ctx.attach_executor(&counting);
+    const MstResult r = llp_prim_parallel(g, ctx);
+    ASSERT_EQ(r.edges, reference.edges) << "seed " << seed;
+    ASSERT_EQ(r.total_weight, reference.total_weight) << "seed " << seed;
+    // One region initializes the engine's arrays; any more are team sweeps.
+    EXPECT_GT(counting.regions(), 1u) << "seed " << seed;
+  }
+}
+
 // ------------------------------------------------------ scripted timelines
 
 // @step triggers, cancel/advance actions, and parse errors work in BOTH
@@ -330,6 +354,65 @@ TEST(SimTimelinePortable, AtStepCancelStopsTheRunDeterministically) {
   EXPECT_EQ(a.result.stats.outcome, RunOutcome::kCancelled);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.result.edges, b.result.edges);
+}
+
+/// One simulated 4-worker llp-prim-parallel run whose timeline cancels on
+/// the `k`-th inline-drain poll (one poll per 1024 popped vertices).
+MstResult prim_cancelled_at_drain_poll(const CsrGraph& g, int k) {
+  SimExecutor::Options o;
+  o.seed = 12;
+  o.workers = 4;
+  o.timeline = "hit(llp_prim/drain:" + std::to_string(k) + "): cancel";
+  SimExecutor exec(o);
+  EXPECT_TRUE(exec.timeline_error().empty()) << exec.timeline_error();
+  CancelToken token;
+  exec.bind_cancel(&token);
+  RunContext ctx;
+  ctx.attach_executor(&exec);
+  ctx.set_cancel(&token);
+  return llp_prim_parallel(g, ctx);
+}
+
+/// True when `part` is a subset of the MST `reference` (both sorted), which
+/// makes it a valid partial forest.
+bool is_partial_mst(const MstResult& part, const MstResult& reference) {
+  return std::includes(reference.edges.begin(), reference.edges.end(),
+                       part.edges.begin(), part.edges.end());
+}
+
+TEST_F(SimTimeline, CancelMidSolveOnARoadGraphLeavesAPartialForest) {
+  // 65,536 vertices: R stays narrow, so nearly all the work is inline
+  // drains.  The cancel lands on the 20th drain poll, ~20k vertices in.
+  RoadParams p;
+  p.width = 256;
+  p.height = 256;
+  p.seed = 3;
+  const CsrGraph g = csr(generate_road_network(p));
+  const MstResult reference = kruskal(g);
+  const MstResult a = prim_cancelled_at_drain_poll(g, 20);
+  EXPECT_EQ(a.stats.outcome, RunOutcome::kCancelled);
+  EXPECT_GE(a.edges.size(), 19u * 1024);
+  EXPECT_LT(a.edges.size(), reference.edges.size() / 2);
+  EXPECT_TRUE(is_partial_mst(a, reference));
+  const MstResult b = prim_cancelled_at_drain_poll(g, 20);
+  EXPECT_EQ(a.edges, b.edges);
+}
+
+TEST_F(SimTimeline, CancelInsideOneLongInlineDrainIsSeen) {
+  // A path whose weights rise from vertex 0: every edge is an MWE, so one
+  // inline drain fixes the whole graph and never returns to the per-sweep
+  // checkpoint.  Only the drain's own poll can stop it.
+  constexpr std::uint32_t kN = 1u << 16;
+  EdgeList list(kN);
+  for (std::uint32_t v = 0; v + 1 < kN; ++v) list.add_edge(v, v + 1, v + 1);
+  list.normalize();
+  const CsrGraph g = csr(list);
+  const MstResult reference = kruskal(g);
+  const MstResult r = prim_cancelled_at_drain_poll(g, 3);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
+  EXPECT_EQ(r.stats.llp_sweeps, 1u);
+  EXPECT_LT(r.edges.size(), 4u * 1024);
+  EXPECT_TRUE(is_partial_mst(r, reference));
 }
 
 TEST_F(SimTimeline, OnHitArmInjectsAFaultAtTheKthVisit) {

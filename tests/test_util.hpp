@@ -1,15 +1,20 @@
 // Shared helpers for the llpmst test suite.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/run_context.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
+#include "graph/generators/road.hpp"
+#include "llp/llp_prim_parallel.hpp"
 #include "mst/mst_result.hpp"
 #include "mst/registry.hpp"
+#include "parallel/executor.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace llpmst::test {
@@ -39,6 +44,53 @@ inline std::vector<MsfAlgo> all_msf_algorithms() {
                    }});
   }
   return out;
+}
+
+/// Forwards every team region to `inner` and counts them, so a test can
+/// assert that a code path really dispatched a team.
+class CountingExecutor final : public Executor {
+ public:
+  explicit CountingExecutor(Executor& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t num_threads() const override {
+    return inner_.num_threads();
+  }
+  [[nodiscard]] std::size_t regions() const { return regions_; }
+
+ private:
+  void run_region_impl(const TeamFn& fn) override {
+    ++regions_;
+    inner_.run_team([&fn](std::size_t w) { fn.invoke(fn.obj, w); });
+  }
+
+  Executor& inner_;
+  std::size_t regions_ = 0;
+};
+
+/// `list` plus one hub vertex joined to every other vertex.  About half the
+/// hub arcs (picked by `seed`) weigh 1, lighter than any road edge, so they
+/// are those vertices' MWEs: once the hub is fixed, LLP-Prim early-fixes
+/// them all at once and its R set becomes thousands of vertices wide.  The
+/// rest weigh more than any road edge.
+inline EdgeList with_hub(EdgeList list, std::uint64_t seed) {
+  const auto hub = static_cast<VertexId>(list.num_vertices());
+  list.ensure_vertices(hub + std::size_t{1});
+  std::mt19937_64 rng(seed);
+  for (VertexId v = 0; v < hub; ++v) {
+    list.add_edge(hub, v, (rng() & 1) != 0 ? Weight{1} : Weight{1} << 30);
+  }
+  list.normalize();
+  return list;
+}
+
+/// The smallest square road grid whose with_hub() hub has more than twice
+/// kLlpPrimTeamArcs arcs: the hub's R set is sure to reach the team sweep.
+inline EdgeList wide_hub_road_grid(std::uint64_t seed) {
+  RoadParams p;
+  p.width = 1;
+  while (std::size_t{p.width} * p.width <= 2 * kLlpPrimTeamArcs) ++p.width;
+  p.height = p.width;
+  p.seed = seed;
+  return generate_road_network(p);
 }
 
 }  // namespace llpmst::test

@@ -48,6 +48,12 @@ echo "=== bench_fig3_scaling (scenario smoke) ==="
 "$BUILD/bench/bench_fig3_scaling" --workload scenario:geo-road-hybrid \
   --threads 1,2 --reps 9 \
   --bench-json "$OUT/fig3-scenario.bench.jsonl" > "$OUT/fig3-scenario.txt"
+echo "=== bench_fig3_scaling (4-thread throughput smoke) ==="
+# The one 4-thread datapoint: a road graph large enough that the 4T rows
+# time the engines rather than team dispatch.  Its records key on
+# "Road 262,144", so they never collide with the 128-side rows above.
+"$BUILD/bench/bench_fig3_scaling" --road-side 512 --threads 1,4 --reps 9 \
+  --bench-json "$OUT/fig3-4t.bench.jsonl" > "$OUT/fig3-4t.txt"
 echo "=== bench_fig4_graph_types (smoke) ==="
 "$BUILD/bench/bench_fig4_graph_types" --road-side 128 --scale-small 10 \
   --scale-big 11 --low 1 --high 2 --reps 9 \
