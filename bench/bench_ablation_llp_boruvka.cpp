@@ -1,11 +1,9 @@
 // Ablation: what do LLP-Boruvka's design choices buy over the synchronized
-// baseline, and what does the adaptive runtime buy over fixed scheduling?
-// Sweeps the engine knobs independently:
+// baseline?  Sweeps the full grid of engine knobs:
 //   * pointer jumping: asynchronous/chaotic (LLP, with full path
 //     compression) vs bulk-synchronous rounds with barriers (baseline);
 //   * contraction dedup: keep parallel bundles (LLP) vs hash bundle-min
 //     filtering (baseline);
-//   * load balance: adaptive grain vs work stealing vs fixed chunks;
 //   * scratch: fresh per run vs caller-owned reuse across repetitions.
 // Reports wall time, rounds, and pointer-jump counts per configuration.
 // Every row gets a distinct algo label so --bench-json record keys stay
@@ -15,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "core/run_context.hpp"
-#include "llp/llp_boruvka.hpp"
+#include "mst/boruvka_engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace llpmst;
@@ -38,24 +36,12 @@ int main(int argc, char** argv) {
   ThreadPool pool(static_cast<std::size_t>(threads));
   RunContext ctx(pool);
 
-  Table t({"Graph", "Jumping", "Dedup", "LoadBalance", "Scratch", "Median",
-           "Rounds", "PointerJumps"});
+  Table t({"Graph", "Jumping", "Dedup", "Scratch", "Median", "Rounds",
+           "PointerJumps"});
 
   const Workload workloads[] = {
       make_road_workload(static_cast<std::uint32_t>(road_side)),
       make_graph500_workload(static_cast<int>(scale), 1, /*connect=*/false),
-  };
-
-  const auto lb_name = [](BoruvkaLoadBalance lb) {
-    switch (lb) {
-      case BoruvkaLoadBalance::kAdaptive:
-        return "adaptive";
-      case BoruvkaLoadBalance::kWorkStealing:
-        return "stealing";
-      case BoruvkaLoadBalance::kFixedChunk:
-        return "fixed";
-    }
-    return "?";
   };
 
   for (const Workload& w : workloads) {
@@ -71,44 +57,32 @@ int main(int argc, char** argv) {
           std::string("engine jump=") +
           (config.jumping == PointerJumping::kAsynchronous ? "async" : "sync") +
           " dedup=" + (config.dedup_contracted_edges ? "1" : "0") +
-          " lb=" + lb_name(config.load_balance) +
           " scratch=" + (scratch != nullptr ? "reuse" : "fresh");
       BoruvkaConfig run = config;
       run.scratch = scratch;
       const BenchMeasurement m = measure_mst(
           algo, w.graph, reference,
-          [&] { return llp_boruvka_configured(w.graph, ctx, run); }, opts);
+          [&] { return boruvka_engine(w.graph, ctx, run); }, opts);
       const MstAlgoStats& s = m.last_result.stats;
       t.add_row({w.name, jumping_cell,
                  config.dedup_contracted_edges ? "yes" : "no",
-                 lb_name(config.load_balance),
                  scratch != nullptr ? "reuse" : "fresh", time_cell(m.time_ms),
                  format_count(s.rounds), format_count(s.pointer_jumps)});
     };
 
-    // Axis 1: the paper's knobs (jumping x dedup) at the default runtime.
+    // The paper's knobs (jumping x dedup), each with a fresh scratch per
+    // run and with one reused across repetitions.  async/no-dedup/reuse is
+    // what llp_boruvka() does with its context's scratch.
     for (const auto jumping :
          {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
       for (const bool dedup : {false, true}) {
         BoruvkaConfig config;
         config.jumping = jumping;
         config.dedup_contracted_edges = dedup;
+        BoruvkaScratch reused;
         run_config(config, nullptr);
+        run_config(config, &reused);
       }
-    }
-
-    // Axis 2: the runtime knobs (scheduling policy, scratch reuse) at the
-    // LLP-Boruvka configuration.  The adaptive/reuse row is what
-    // llp_boruvka() would do with a persistent scratch; fixed/fresh is the
-    // pre-adaptive runtime.
-    BoruvkaScratch reused;
-    for (const auto lb :
-         {BoruvkaLoadBalance::kAdaptive, BoruvkaLoadBalance::kWorkStealing,
-          BoruvkaLoadBalance::kFixedChunk}) {
-      BoruvkaConfig config;
-      config.load_balance = lb;
-      run_config(config, nullptr);
-      run_config(config, &reused);
     }
   }
 

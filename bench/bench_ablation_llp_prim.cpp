@@ -82,16 +82,13 @@ int main(int argc, char** argv) {
     add("LLP-Prim (Q only)", llp_variant(false, true));
     add("LLP-Prim (full)", llp_variant(true, true));
 
-    // Parallel scheduling: bulk-synchronous frontier super-steps vs the
-    // Galois-style asynchronous work-stealing drain of R.
+    // The parallel engine: narrow R sets drained inline, wide ones by the
+    // team.
     ThreadPool pool(static_cast<std::size_t>(threads));
     ctx.attach_pool(pool);
-    add(strf("LLP-Prim (superstep, %lldT)",
+    add(strf("LLP-Prim (parallel, %lldT)",
              static_cast<long long>(threads)).c_str(),
         registry_row("llp-prim-parallel"));
-    add(strf("LLP-Prim (async WS, %lldT)",
-             static_cast<long long>(threads)).c_str(),
-        registry_row("llp-prim-async"));
   }
 
   std::printf("Ablation: LLP-Prim optimization breakdown\n\n");

@@ -15,11 +15,6 @@ MstResult llp_boruvka(const CsrGraph& g, RunContext& ctx) {
   return boruvka_engine(g, ctx, config);
 }
 
-MstResult llp_boruvka_configured(const CsrGraph& g, RunContext& ctx,
-                                 const BoruvkaConfig& config) {
-  return boruvka_engine(g, ctx, config);
-}
-
 MstAlgorithm llp_boruvka_algorithm() {
   return {"llp-boruvka", "LLP-Boruvka",
           "Boruvka with async LLP pointer jumping, no dedup (Algorithm 6)",

@@ -26,15 +26,4 @@ namespace llpmst {
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm llp_boruvka_algorithm();
 
-/// Ablation entry point: run LLP-Boruvka with explicit engine knobs (which
-/// pointer-jumping flavour, whether contraction dedups).  llp_boruvka() is
-/// configured {kAsynchronous, no dedup}; the baseline is {kSynchronized,
-/// dedup}.  Config fields override the context (config.cancel, when set,
-/// beats ctx.cancel_token(); config.scratch == nullptr means a fresh
-/// engine-internal scratch, NOT the context's — the ablation's
-/// scratch-reuse axis depends on that).
-[[nodiscard]] MstResult llp_boruvka_configured(const CsrGraph& g,
-                                               RunContext& ctx,
-                                               const BoruvkaConfig& config);
-
 }  // namespace llpmst

@@ -13,8 +13,8 @@
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scan.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/assert.hpp"
+#include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 
 namespace llpmst {
@@ -93,14 +93,14 @@ struct Engine {
   const CsrGraph& g;
   Executor& pool;
   const BoruvkaConfig& cfg;
+  const CancelToken* cancel;  // ctx.cancel_token(), polled once per round
   BoruvkaScratch& s;
   MstResult r;
 
   std::size_t threads;
   std::size_t k = 0;  // live components in the current (dense) id space
-  bool steal_fallback = false;  // extract sweep rerouted after measured skew
-  /// max/mean per-worker busy time of the last extract() sweep; 0.0 on
-  /// paths that do not time per-worker shares (serial, steal, fixed-chunk).
+  /// max/mean per-worker busy time of the last extract() sweep; 0.0 when
+  /// the sweep ran inline.
   double last_extract_imbalance = 0.0;
   std::atomic<std::uint32_t> emit_pos{0};  // cursor into s.msf_edges
   std::atomic<std::uint64_t> jump_count{0};
@@ -115,8 +115,13 @@ struct Engine {
   static constexpr std::size_t kMaxProbes = 16;
 
   Engine(const CsrGraph& graph, Executor& p, const BoruvkaConfig& c,
-         BoruvkaScratch& scratch)
-      : g(graph), pool(p), cfg(c), s(scratch), threads(p.num_threads()) {}
+         const CancelToken* token, BoruvkaScratch& scratch)
+      : g(graph),
+        pool(p),
+        cfg(c),
+        cancel(token),
+        s(scratch),
+        threads(p.num_threads()) {}
 
   /// Round 1 setup: identity parents and the CSR's precomputed per-vertex
   /// minima ("the MWE set can be computed when the graph is input").
@@ -149,21 +154,8 @@ struct Engine {
       if (p == s.best[a]) s.partner[a] = b;
       if (p == s.best[b]) s.partner[b] = a;
     };
-    const bool steal = cfg.load_balance == BoruvkaLoadBalance::kWorkStealing ||
-                       steal_fallback;
-    if (steal) {
-      parallel_for_stealing(pool, 0, me, s.extract_grain.grain(me, threads),
-                            body);
-      return;
-    }
-    if (cfg.load_balance == BoruvkaLoadBalance::kFixedChunk) {
-      parallel_for(pool, 0, me, body);
-      return;
-    }
-    // Adaptive: chunked with a utilization probe.  A sweep that ends with
-    // most workers idle (stragglers holding hot, contended components)
-    // reroutes the remaining rounds to the work-stealing path, whose lazy
-    // splitting peels a straggler's tail in halves.
+    // Adaptive-grain chunks, each timed per worker so the round telemetry
+    // can report how unevenly the sweep's work fell across the team.
     if (threads == 1 || s.extract_grain.prefers_serial(me)) {
       const std::uint64_t t0 = detail::grain_clock_ns();
       for (std::size_t i = 0; i < me; ++i) body(i);
@@ -194,15 +186,6 @@ struct Engine {
       last_extract_imbalance = static_cast<double>(busy_max) *
                                static_cast<double>(threads) /
                                static_cast<double>(busy);
-    }
-    // utilization = busy / (wall * threads); below ~55% on a sweep that is
-    // long enough to matter (>100us) means stragglers, not noise.
-    if (wall > 100'000 && busy * 100 < wall * threads * 55) {
-      steal_fallback = true;
-      if (obs::kCompiledIn) {
-        obs::counter(std::string(cfg.obs_label) + "/mwe_steal_fallbacks")
-            .add(1);
-      }
     }
   }
 
@@ -472,8 +455,8 @@ struct Engine {
       // Cancellation checkpoint, once per round: every edge already drained
       // into `chosen` was a genuine MSF edge, so stopping between rounds
       // yields a valid partial forest.
-      if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-        r.stats.outcome = cfg.cancel->reason();
+      if (cancel != nullptr && cancel->cancelled()) {
+        r.stats.outcome = cancel->reason();
         break;
       }
       // Chaos hook, once per round.  Sleep/yield here widens the window
@@ -565,15 +548,13 @@ MstResult boruvka_engine(const CsrGraph& g, RunContext& ctx,
                          const BoruvkaConfig& config) {
   obs::PhaseTimer algo_span(config.obs_label);
   obs::ScopedHwCounters hw_scope(config.obs_label);
-  // Config fields override the context: an explicit cancel token wins over
-  // ctx.cancel_token(), and scratch deliberately does NOT default to the
-  // context's arena (the ablation bench measures fresh-vs-reused scratch;
-  // the named entry points opt in explicitly).
-  BoruvkaConfig cfg = config;
-  if (cfg.cancel == nullptr) cfg.cancel = ctx.cancel_token();
+  // Scratch deliberately does NOT default to the context's arena (the
+  // ablation bench measures fresh-vs-reused scratch; the named entry points
+  // opt in explicitly).
   BoruvkaScratch local_scratch;
-  BoruvkaScratch& s = cfg.scratch != nullptr ? *cfg.scratch : local_scratch;
-  Engine engine(g, ctx.executor(), cfg, s);
+  BoruvkaScratch& s =
+      config.scratch != nullptr ? *config.scratch : local_scratch;
+  Engine engine(g, ctx.executor(), config, ctx.cancel_token(), s);
   return engine.run();
 }
 

@@ -34,7 +34,6 @@
 
 #include "mst/mst_result.hpp"
 #include "parallel/parallel_for.hpp"
-#include "support/cancel.hpp"
 
 namespace llpmst {
 
@@ -53,19 +52,6 @@ enum class PointerJumping {
   /// `advance(j) = G[j] := G[G[j]]`) "evaluated in parallel and without
   /// synchronization".
   kAsynchronous,
-};
-
-/// Scheduling policy for the engine's per-round parallel sweeps.
-enum class BoruvkaLoadBalance {
-  /// Adaptive-grain chunked loops (GrainFeedback); the MWE-extract sweep
-  /// falls back to the work-stealing runtime for the rest of the run once a
-  /// round measures heavy per-worker imbalance (max worker time > 2x mean).
-  kAdaptive,
-  /// Always route the MWE-extract sweep through parallel_for_stealing.
-  kWorkStealing,
-  /// Fixed-size chunks (detail::kDynamicChunk), no feedback — the
-  /// pre-adaptive behaviour, kept for ablation.
-  kFixedChunk,
 };
 
 /// Per-round telemetry handed to BoruvkaConfig::round_observer (tests use
@@ -129,18 +115,10 @@ struct BoruvkaConfig {
   /// enables it; LLP-Boruvka skips it, trading a longer edge list for one
   /// less sweep per round.
   bool dedup_contracted_edges = false;
-  /// Scheduling policy for the per-round sweeps.
-  BoruvkaLoadBalance load_balance = BoruvkaLoadBalance::kAdaptive;
   /// Prefix for observability metrics/phases ("<obs_label>/round/hook", ...)
   /// so the two engine clients stay distinguishable in reports.  Must be a
   /// string literal (borrowed, not owned).
   const char* obs_label = "boruvka";
-  /// Optional cooperative cancellation, polled once per round (rounds shrink
-  /// the edge list geometrically, so this is O(log n) polls total).  A
-  /// triggered token — or the "boruvka/contract" failpoint — stops the run
-  /// with stats.outcome != kOk and the PARTIAL forest built so far.
-  /// nullptr = the engine falls back to RunContext::cancel_token().
-  const CancelToken* cancel = nullptr;
   /// Optional caller-owned scratch, reused across runs.  nullptr = the
   /// engine uses an internal scratch for the run (still reused across
   /// rounds, so per-round allocation stays zero either way).  The named
@@ -155,7 +133,11 @@ struct BoruvkaConfig {
 };
 
 /// Runs Boruvka rounds until no edges remain; returns the unique MSF.
-/// Sweeps run on ctx.executor().
+/// Sweeps run on ctx.executor().  ctx.cancel_token() is polled once per
+/// round (rounds shrink the edge list geometrically, so this is O(log n)
+/// polls total); a triggered token — or the "boruvka/contract" failpoint —
+/// stops the run with stats.outcome != kOk and the PARTIAL forest built so
+/// far.
 [[nodiscard]] MstResult boruvka_engine(const CsrGraph& g, RunContext& ctx,
                                        const BoruvkaConfig& config);
 

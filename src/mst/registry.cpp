@@ -2,7 +2,6 @@
 
 #include "llp/llp_boruvka.hpp"
 #include "llp/llp_prim.hpp"
-#include "llp/llp_prim_async.hpp"
 #include "llp/llp_prim_parallel.hpp"
 #include "mst/boruvka.hpp"
 #include "mst/filter_kruskal.hpp"
@@ -32,7 +31,6 @@ const std::vector<MstAlgorithm>& mst_algorithms() {
       parallel_boruvka_algorithm(),
       llp_prim_algorithm(),
       llp_prim_parallel_algorithm(),
-      llp_prim_async_algorithm(),
       llp_boruvka_algorithm(),
   };
   return *table;

@@ -1,7 +1,6 @@
 // Scheduler event collection: a fixed-capacity, lock-free ring buffer per
 // worker thread recording what the parallel runtime actually did — task
-// (team-region) spans, idle spans inside the work-stealing loop, steal
-// attempts/successes, and adaptive-grain decisions.  This is the raw
+// (team-region) spans and adaptive-grain decisions.  This is the raw
 // material for the per-worker timelines, the utilization / critical-path
 // analysis (obs/critical_path.hpp), the run report's "scheduler" section,
 // and the "sched/*" tracks in the Chrome trace.
@@ -36,8 +35,10 @@ namespace llpmst::obs {
 enum class SchedEventKind : std::uint8_t {
   /// Span: one worker's share of a team region; value = duration in us.
   kTask = 0,
-  /// Span: a worker idling inside the work-stealing loop (empty deque, no
-  /// victim had work); value = duration in us.
+  /// kIdle, kStealAttempt and kStealSuccess have no emitter (the chunked
+  /// runtime neither idles in a loop nor steals); the report's idle and
+  /// steal fields they feed read 0 until the schemas drop them.
+  /// Span: a worker idling for work; value = duration in us.
   kIdle = 1,
   /// Point: end of an idle episode; value = failed steal probes during it.
   kStealAttempt = 2,
@@ -67,7 +68,7 @@ struct SchedSnapshot {
 #if LLPMST_OBS
 
 /// Events retained per worker thread (16 bytes each).  Sized so a full
-/// Graph500-scale solve keeps every region span while a pathological steal
+/// Graph500-scale solve keeps every region span while a pathological event
 /// storm degrades to "newest events win" instead of unbounded memory.
 inline constexpr std::size_t kSchedRingCapacity = 1u << 14;
 

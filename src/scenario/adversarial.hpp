@@ -61,7 +61,7 @@ struct GeoRoadHybridParams {
 
 /// Road grid + geometric cloud + random bridges: low-degree/high-diameter
 /// and irregular-degree regions in one graph, so per-round scheduling
-/// decisions (grain, steal fallback) face both shapes at once.  Connected.
+/// decisions (grain, inline vs team) face both shapes at once.  Connected.
 [[nodiscard]] EdgeList make_geo_road_hybrid(const GeoRoadHybridParams& params);
 
 }  // namespace llpmst

@@ -41,7 +41,7 @@ EdgeList make_rmat_graph500(std::uint64_t seed) {
 
 EdgeList make_rmat_skew_extreme(std::uint64_t seed) {
   // a=0.70: heavy-tailed degrees, a few huge hubs — worst case for chunked
-  // load balance, the regime where the steal fallback must engage.
+  // load balance, the regime where per-worker imbalance peaks.
   return rmat_with(10, 0.70, 0.12, 0.12, seed);
 }
 
@@ -125,8 +125,7 @@ const std::vector<Scenario>& registry() {
        "RMAT a=0.57 (graph500): the paper's workload family at test scale",
        make_rmat_graph500, {.connected = false, .min_components = 1}, "", 0},
       {"rmat-skew-extreme", "rmat-skew",
-       "RMAT a=0.70: hub-dominated degrees, stresses chunked load balance "
-       "and the steal fallback",
+       "RMAT a=0.70: hub-dominated degrees, stresses chunked load balance",
        make_rmat_skew_extreme, {.connected = false, .min_components = 1}, "",
        0},
       {"near-duplicate-weights", "weights",

@@ -202,9 +202,9 @@ void SimExecutor::schedule_next_locked() {
   if (!picked) {
     // Trace exhausted (a minimized prefix) or diverged: continue with a
     // deterministic ROUND-ROBIN fill.  Round-robin rather than lowest-id
-    // because lowest-id can livelock — a low-id worker spinning in the
-    // steal backoff would be re-granted forever while the worker holding
-    // the last item never runs.
+    // because lowest-id can livelock — a low-id worker looping on a
+    // preemption point (a failpoint yield, say) would be re-granted forever
+    // while the worker holding the remaining work never runs.
     for (std::size_t off = 1; off <= workers_; ++off) {
       const std::size_t w = (last_pick_ + off) % workers_;
       if (state_[w] == WorkerState::kReady) {

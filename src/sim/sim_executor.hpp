@@ -4,7 +4,7 @@
 // interleaving is decided by a seeded PRNG instead of the OS scheduler.
 // Workers are real threads, but a baton protocol serializes them: exactly
 // one executes user code at any instant, and at every preemption point
-// (chunk grabs, steal loops, failpoint yields — see support/sim_hooks.hpp)
+// (chunk grabs, block starts, failpoint yields — see support/sim_hooks.hpp)
 // the running worker parks and the scheduler picks the next runnable one.
 // Real threads + a mutex/condvar baton were chosen over fibers because the
 // CI matrix runs this under ASan and TSan, which understand threads

@@ -2,8 +2,8 @@
 //
 // The deterministic simulator (src/sim/) needs the runtime to hand control
 // back at *preemption points*: the spots where a real OS scheduler could
-// interleave workers differently between runs — dynamic chunk grabs, the
-// work-stealing backoff spin, failpoint sleep/yield actions.  Rather than
+// interleave workers differently between runs — dynamic chunk grabs, static
+// block starts, failpoint sleep/yield actions.  Rather than
 // teach every primitive about the simulator, the simulator installs a small
 // hook table into each worker thread's TLS; the primitives call the free
 // functions below, which are no-ops (one relaxed TLS read) when no hooks are
@@ -13,7 +13,7 @@
 // a preemption point must NEVER sit inside a lock scope.  The simulator
 // serializes workers — if worker A parked inside a critical section, the
 // worker granted the next step could block on that mutex and deadlock the
-// simulation.  All current sites (chunk-grab loops, steal backoff, failpoint
+// simulation.  All current sites (chunk-grab loops, block starts, failpoint
 // sites) run lock-free.
 #pragma once
 

@@ -19,7 +19,7 @@
 
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/special.hpp"
-#include "llp/llp_boruvka.hpp"
+#include "mst/boruvka_engine.hpp"
 #include "mst/kruskal.hpp"
 #include "test_util.hpp"
 
@@ -42,7 +42,7 @@ MstResult run_logged(const CsrGraph& g, RunContext& ctx, BoruvkaConfig c,
     ASSERT_NE(info.dropped_edge_ids, nullptr);
     log.dropped.push_back(*info.dropped_edge_ids);
   };
-  return llp_boruvka_configured(g, ctx, c);
+  return boruvka_engine(g, ctx, c);
 }
 
 /// Asserts every per-round invariant plus the whole-run drop accounting.
@@ -121,22 +121,16 @@ TEST_P(BoruvkaContraction, RoundInvariantsAcrossAllEngineConfigs) {
   for (const auto jumping :
        {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
     for (const bool dedup : {false, true}) {
-      for (const auto lb :
-           {BoruvkaLoadBalance::kAdaptive, BoruvkaLoadBalance::kWorkStealing,
-            BoruvkaLoadBalance::kFixedChunk}) {
-        SCOPED_TRACE(testing::Message()
-                     << "async=" << (jumping == PointerJumping::kAsynchronous)
-                     << " dedup=" << dedup
-                     << " lb=" << static_cast<int>(lb));
-        BoruvkaConfig c;
-        c.jumping = jumping;
-        c.dedup_contracted_edges = dedup;
-        c.load_balance = lb;
-        RoundLog log;
-        const MstResult r = run_logged(g, ctx_, c, log);
-        ASSERT_EQ(r.edges, reference.edges);
-        check_rounds(g, reference, log, dedup);
-      }
+      SCOPED_TRACE(testing::Message()
+                   << "async=" << (jumping == PointerJumping::kAsynchronous)
+                   << " dedup=" << dedup);
+      BoruvkaConfig c;
+      c.jumping = jumping;
+      c.dedup_contracted_edges = dedup;
+      RoundLog log;
+      const MstResult r = run_logged(g, ctx_, c, log);
+      ASSERT_EQ(r.edges, reference.edges);
+      check_rounds(g, reference, log, dedup);
     }
   }
 }
@@ -156,7 +150,7 @@ TEST_P(BoruvkaContraction, ScratchReuseAcrossRunsIsClean) {
       BoruvkaConfig c;
       c.dedup_contracted_edges = true;
       c.scratch = &scratch;
-      const MstResult r = llp_boruvka_configured(*g, ctx_, c);
+      const MstResult r = boruvka_engine(*g, ctx_, c);
       EXPECT_EQ(r.edges, kruskal(*g).edges);
     }
   }

@@ -10,6 +10,8 @@
 #include "mst/boruvka.hpp"
 #include "mst/kruskal.hpp"
 #include "mst/verifier.hpp"
+#include "obs/metrics.hpp"
+#include "obs/round_stats.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -37,7 +39,7 @@ TEST_P(LlpBoruvka, AllEngineConfigsProduceTheMsf) {
       BoruvkaConfig c;
       c.jumping = jumping;
       c.dedup_contracted_edges = dedup;
-      const MstResult r = llp_boruvka_configured(g, ctx_, c);
+      const MstResult r = boruvka_engine(g, ctx_, c);
       ASSERT_EQ(r.edges, reference.edges)
           << "async=" << (jumping == PointerJumping::kAsynchronous)
           << " dedup=" << dedup;
@@ -127,6 +129,36 @@ TEST(LlpBoruvkaSequentialEquivalence, MatchesClassicBoruvka) {
     EXPECT_EQ(llp_boruvka(g, ctx).edges, boruvka(g).edges)
         << "seed " << seed;
   }
+}
+
+TEST(LlpBoruvkaTelemetry, TeamExtractSweepsReportWorkerImbalance) {
+  // A fresh context has no grain history, so round 1's extract sweep over
+  // a 256x256 road goes to the 4-thread team and times each worker's share.
+  // Every round reads either 0 (ran inline) or max/mean busy time >= 1.
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  RoadParams p;
+  p.width = 256;
+  p.height = 256;
+  const CsrGraph g = csr(generate_road_network(p));
+  ThreadPool pool(4);
+  RunContext ctx(pool);
+  obs::reset_rounds();
+  obs::set_enabled(true);
+  const MstResult r = llp_boruvka(g, ctx);
+  obs::set_enabled(false);
+  const std::vector<obs::RoundRecord> rounds = obs::snapshot_rounds();
+  obs::reset_rounds();
+  ASSERT_EQ(r.edges, kruskal(g).edges);
+  ASSERT_EQ(rounds.size(), r.stats.rounds);
+  bool measured = false;
+  for (const obs::RoundRecord& round : rounds) {
+    SCOPED_TRACE(testing::Message() << "round " << round.round);
+    EXPECT_EQ(round.label, "llp_boruvka");
+    EXPECT_TRUE(round.imbalance == 0.0 || round.imbalance >= 1.0)
+        << round.imbalance;
+    measured = measured || round.imbalance >= 1.0;
+  }
+  EXPECT_TRUE(measured) << "no round timed its extract sweep on the team";
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 // minimality verifier.  Capability flags gate the matrix: tree-only
 // algorithms (caps.msf_capable == false) skip the disconnected workloads
 // instead of being special-cased by name.  A new algorithm registered in
-// src/mst/registry.cpp is covered here with zero test edits.
+// src/mst/registry.cpp is covered by the matrix with zero test edits; only
+// the exact-name invariant below must list it.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
+#include <vector>
 
 #include "core/run_context.hpp"
 #include "graph/generators/random_graph.hpp"
@@ -104,19 +105,25 @@ TEST_P(RegistryConformance, ScratchReuseAcrossAlgorithmsIsClean) {
 }
 
 TEST(RegistryInvariants, NamesAreUniqueNonEmptyAndLookupRoundTrips) {
-  std::set<std::string> names;
+  std::vector<std::string> names;
   for (const MstAlgorithm& a : mst_algorithms()) {
     ASSERT_NE(a.name, nullptr);
     ASSERT_NE(a.label, nullptr);
     ASSERT_NE(a.summary, nullptr);
     ASSERT_NE(a.run, nullptr);
     EXPECT_FALSE(std::string(a.name).empty());
-    EXPECT_TRUE(names.insert(a.name).second) << "duplicate: " << a.name;
+    names.emplace_back(a.name);
     const MstAlgorithm* found = find_mst_algorithm(a.name);
     ASSERT_NE(found, nullptr) << a.name;
     EXPECT_EQ(found, &a) << a.name;  // lookup returns the entry itself
   }
-  EXPECT_GE(names.size(), 12u);
+  // Exact names in presentation order, which also rules out duplicates.
+  const std::vector<std::string> expected = {
+      "kruskal",        "prim",             "prim-lazy",
+      "boruvka",        "kkt",              "kruskal-parallel",
+      "filter-kruskal", "parallel-boruvka", "llp-prim",
+      "llp-prim-parallel", "llp-boruvka"};
+  EXPECT_EQ(names, expected);
   EXPECT_EQ(find_mst_algorithm("no-such-algorithm"), nullptr);
   // "auto" is a policy over the registry, not an entry in it.
   EXPECT_EQ(find_mst_algorithm("auto"), nullptr);
