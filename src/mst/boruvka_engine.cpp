@@ -34,6 +34,14 @@ inline void rel_store(VertexId& slot, VertexId v) {
   std::atomic_ref<VertexId>(slot).store(v, std::memory_order_relaxed);
 }
 
+/// Sets a live-root mark, storing only while it still reads 0.  Late rounds
+/// have a handful of roots and hundreds of thousands of edges, so an
+/// unconditional store would bounce those few cache lines between every
+/// worker; once marked, the line stays shared and the sweep is read-only.
+inline void mark_live(VertexId& slot) {
+  if (rel_load(slot) == 0) rel_store(slot, 1);
+}
+
 /// Lowers `slot` to min(slot, p); relaxed CAS loop (see atomic_utils.hpp for
 /// the std::atomic flavour — this one targets reusable plain arrays).
 inline void prio_fetch_min(EdgePriority& slot, EdgePriority p) {
@@ -350,8 +358,8 @@ struct Engine {
             const VertexId cv = s.parent[ev.v(i)];
             if (cu == cv) continue;
             ++alive;
-            rel_store(s.dense[cu], 1);
-            rel_store(s.dense[cv], 1);
+            mark_live(s.dense[cu]);
+            mark_live(s.dense[cv]);
             if (filter) filter_install(cu, cv, ev.prio(i), mask);
           }
           s.chunk_count[ci] = alive;

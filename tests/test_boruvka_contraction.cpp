@@ -109,7 +109,8 @@ class BoruvkaContraction : public testing::TestWithParam<int> {
   ThreadPool pool_{static_cast<std::size_t>(GetParam())};
   RunContext ctx_{pool_};
 };
-INSTANTIATE_TEST_SUITE_P(Threads, BoruvkaContraction, testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(Threads, BoruvkaContraction,
+                         testing::Values(1, 2, 4, 8));
 
 TEST_P(BoruvkaContraction, RoundInvariantsAcrossAllEngineConfigs) {
   ErdosRenyiParams p;
@@ -131,6 +132,55 @@ TEST_P(BoruvkaContraction, RoundInvariantsAcrossAllEngineConfigs) {
       const MstResult r = run_logged(g, ctx_, c, log);
       ASSERT_EQ(r.edges, reference.edges);
       check_rounds(g, reference, log, dedup);
+    }
+  }
+}
+
+TEST_P(BoruvkaContraction, FewComponentsManyParallelEdgesKeepRoundInvariants) {
+  // The contended shape: the clusters contract first, then a handful of
+  // live roots share thousands of parallel bridges, so every chunk of the
+  // contraction sweeps marks and min-reduces the same few roots.  The
+  // per-round counts must not depend on how many workers race for them.
+  const CsrGraph g = csr(test::clustered_graph(5));
+  const MstResult reference = kruskal(g);
+  ThreadPool serial_pool(1);
+  RunContext serial_ctx(serial_pool);
+  for (const auto jumping :
+       {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
+    for (const bool dedup : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "async=" << (jumping == PointerJumping::kAsynchronous)
+                   << " dedup=" << dedup);
+      BoruvkaConfig c;
+      c.jumping = jumping;
+      c.dedup_contracted_edges = dedup;
+      RoundLog log;
+      const MstResult r = run_logged(g, ctx_, c, log);
+      ASSERT_EQ(r.edges, reference.edges);
+      check_rounds(g, reference, log, dedup);
+
+      RoundLog serial;
+      ASSERT_EQ(run_logged(g, serial_ctx, c, serial).edges, reference.edges);
+      ASSERT_EQ(log.rounds.size(), serial.rounds.size());
+      for (std::size_t i = 0; i < log.rounds.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "round " << log.rounds[i].round);
+        EXPECT_EQ(log.rounds[i].components, serial.rounds[i].components);
+        EXPECT_EQ(log.rounds[i].components_after,
+                  serial.rounds[i].components_after);
+        EXPECT_EQ(log.rounds[i].edges_after, serial.rounds[i].edges_after);
+        EXPECT_EQ(log.rounds[i].self_loops_dropped,
+                  serial.rounds[i].self_loops_dropped);
+      }
+
+      // Without the bundle filter the bridges survive as parallel edges:
+      // some round must really have few roots and many edges.
+      if (!dedup) {
+        EXPECT_TRUE(std::any_of(log.rounds.begin(), log.rounds.end(),
+                                [](const BoruvkaRoundStats& rs) {
+                                  return rs.components <= 10 &&
+                                         rs.active_edges >= 1000;
+                                }));
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/road.hpp"
@@ -18,6 +19,7 @@
 #include "llp/llp_solver.hpp"
 #include "mst/auto.hpp"
 #include "mst/kruskal.hpp"
+#include "mst/parallel_boruvka.hpp"
 #include "mst/verifier.hpp"
 #include "scenario/repro.hpp"
 #include "scenario/scenario.hpp"
@@ -156,6 +158,36 @@ TEST_F(Chaos, LlpBoruvkaMatchesKruskalUnderAHundredSeeds) {
     ASSERT_TRUE(v.ok) << v.error << "\n" << at;
   }
   EXPECT_GT(fail::fire_count("boruvka/contract"), 0u);
+}
+
+TEST_F(Chaos, BoruvkaFewRootsContractionMatchesKruskalUnderSeeds) {
+  // Clustered graph: thousands of bridges contract onto a few live roots,
+  // and yielding team tasks reshuffle which workers race for them.
+  const CsrGraph g = csr(test::clustered_graph(3));
+  const MstResult reference = kruskal(g);
+  ThreadPool pool(4);
+  RunContext ctx(pool);
+
+  const char* spec = "pool/task=20%yield";
+  std::string error;
+  ASSERT_EQ(fail::configure(spec, &error), 1u) << error;
+
+  for (const auto& [name, solve] :
+       {std::pair{"llp-boruvka", &llp_boruvka},
+        std::pair{"parallel-boruvka", &parallel_boruvka}}) {
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      fail::set_seed(seed);
+      const MstResult r = solve(g, ctx);
+      ASSERT_EQ(r.stats.outcome, RunOutcome::kOk)
+          << name << " failpoint seed " << seed;
+      ASSERT_EQ(r.edges, reference.edges) << name << " failpoint seed "
+                                           << seed;
+      const VerifyResult v = verify_spanning_forest(g, r);
+      ASSERT_TRUE(v.ok) << v.error << "\n" << name << " failpoint seed "
+                        << seed;
+    }
+  }
+  EXPECT_GT(fail::fire_count("pool/task"), 0u);
 }
 
 // ------------------------------------------------- deadlines & watchdogs

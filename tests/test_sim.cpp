@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/run_context.hpp"
@@ -23,6 +24,7 @@
 #include "llp/llp_prim_parallel.hpp"
 #include "mst/auto.hpp"
 #include "mst/kruskal.hpp"
+#include "mst/parallel_boruvka.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/schedule_trace.hpp"
 #include "sim/sim_executor.hpp"
@@ -311,6 +313,30 @@ TEST_F(SimDeterminism, LlpPrimParallelWideFrontierMatchesKruskalAcrossSeeds) {
     ASSERT_EQ(r.total_weight, reference.total_weight) << "seed " << seed;
     // One region initializes the engine's arrays; any more are team sweeps.
     EXPECT_GT(counting.regions(), 1u) << "seed " << seed;
+  }
+}
+
+TEST_F(SimDeterminism, BoruvkaFewRootsContractionMatchesKruskalAcrossSeeds) {
+  // Clustered graph: the last rounds contract thousands of bridges onto a
+  // few live roots, so the simulated schedules interleave contraction
+  // chunks that all mark and min-reduce the same roots.
+  const CsrGraph g = csr(test::clustered_graph(3));
+  const MstResult reference = kruskal(g);
+  for (const auto& [name, solve] :
+       {std::pair{"llp-boruvka", &llp_boruvka},
+        std::pair{"parallel-boruvka", &parallel_boruvka}}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SimExecutor::Options o;
+      o.seed = seed;
+      o.workers = 4;
+      SimExecutor exec(o);
+      RunContext ctx;
+      ctx.attach_executor(&exec);
+      const MstResult r = solve(g, ctx);
+      ASSERT_EQ(r.edges, reference.edges) << name << " seed " << seed;
+      ASSERT_EQ(r.total_weight, reference.total_weight)
+          << name << " seed " << seed;
+    }
   }
 }
 

@@ -82,6 +82,50 @@ inline EdgeList with_hub(EdgeList list, std::uint64_t seed) {
   return list;
 }
 
+/// Six dense clusters of 128 vertices each, joined by 4000 random
+/// inter-cluster bridges that all weigh more than any intra-cluster edge.
+/// Every part of a cluster has a lighter edge inside it than any bridge, so
+/// Boruvka contracts each cluster whole before it takes a bridge: its last
+/// rounds hold at most six live roots and thousands of parallel edges, and
+/// every per-edge sweep of the contraction lands on the same few
+/// per-component slots.
+inline EdgeList clustered_graph(std::uint64_t seed) {
+  constexpr std::size_t clusters = 6;
+  constexpr std::size_t size = 128;
+  constexpr std::size_t bridges = 4000;
+  EdgeList list(clusters * size);
+  std::mt19937_64 rng(seed);
+  constexpr Weight kBridgeFloor = Weight{1} << 20;
+  const auto vertex = [](std::size_t cluster, std::size_t i) {
+    return static_cast<VertexId>(cluster * size + i);
+  };
+  for (std::size_t c = 0; c < clusters; ++c) {
+    // A path keeps the cluster connected; 4 random chords per vertex make
+    // it dense.
+    for (std::size_t i = 0; i + 1 < size; ++i) {
+      list.add_edge(vertex(c, i), vertex(c, i + 1),
+                    1 + static_cast<Weight>(rng() % (kBridgeFloor - 1)));
+    }
+    for (std::size_t j = 0; j < 4 * size; ++j) {
+      const std::size_t a = rng() % size;
+      const std::size_t b = rng() % size;
+      if (a == b) continue;
+      list.add_edge(vertex(c, a), vertex(c, b),
+                    1 + static_cast<Weight>(rng() % (kBridgeFloor - 1)));
+    }
+  }
+  for (std::size_t j = 0; j < bridges; ++j) {
+    const std::size_t ca = rng() % clusters;
+    const std::size_t cb = (ca + 1 + rng() % (clusters - 1)) % clusters;
+    const VertexId u = vertex(ca, rng() % size);
+    const VertexId v = vertex(cb, rng() % size);
+    list.add_edge(u, v,
+                  kBridgeFloor + static_cast<Weight>(rng() % kBridgeFloor));
+  }
+  list.normalize();
+  return list;
+}
+
 /// The smallest square road grid whose with_hub() hub has more than twice
 /// kLlpPrimTeamArcs arcs: the hub's R set is sure to reach the team sweep.
 inline EdgeList wide_hub_road_grid(std::uint64_t seed) {

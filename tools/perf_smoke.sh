@@ -54,6 +54,13 @@ echo "=== bench_fig3_scaling (4-thread throughput smoke) ==="
 # "Road 262,144", so they never collide with the 128-side rows above.
 "$BUILD/bench/bench_fig3_scaling" --road-side 512 --threads 1,4 --reps 9 \
   --bench-json "$OUT/fig3-4t.bench.jsonl" > "$OUT/fig3-4t.txt"
+echo "=== bench_fig3_scaling (4-thread Graph500 smoke) ==="
+# Graph500 s16 at 1 and 4 threads: the skewed shape whose late Boruvka
+# rounds leave a few live roots under most of the edges, so it catches
+# contraction sweeps contending on per-component slots.  Its records key
+# on "Graph500 s16", which no other fig3 row uses.
+"$BUILD/bench/bench_fig3_scaling" --workload rmat:16 --threads 1,4 --reps 9 \
+  --bench-json "$OUT/fig3-rmat-4t.bench.jsonl" > "$OUT/fig3-rmat-4t.txt"
 echo "=== bench_fig4_graph_types (smoke) ==="
 "$BUILD/bench/bench_fig4_graph_types" --road-side 128 --scale-small 10 \
   --scale-big 11 --low 1 --high 2 --reps 9 \
