@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bench_util/table.hpp"
-#include "obs/bandwidth.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/hw_counters.hpp"
 #include "obs/mem_stats.hpp"
@@ -39,16 +38,14 @@ struct BenchRecord {
   bool has_hw = false;    // ... unless the group was running
   obs::MemSample mem;     // alloc_* are deltas across the timed reps;
   bool has_mem = false;   // ... unless the allocator hooks are compiled out
-  double sched_util = 0;  // scheduler utilization across the timed reps;
-  double steal_rate = 0;  // ... and steal success rate,
+  double sched_util = 0;   // scheduler utilization across the timed reps,
   bool has_sched = false;  // ... unless obs is compiled out / no events
   // --profile: the top-3 hottest phase paths by profiler samples across
-  // the timed reps, and the estimated DRAM bandwidth (needs hw).
+  // the timed reps.
   std::vector<obs::ProfPhaseCount> prof_top;
   std::uint64_t prof_samples = 0;
   unsigned prof_hz = 0;
   bool has_prof = false;
-  double est_gbps = -1.0;  // < 0 means not computable (no hw / no wall)
 };
 
 struct RecordStore {
@@ -161,19 +158,15 @@ std::string render_record(const std::string& bench, const BenchRecord& r) {
   } else {
     out += "\"alloc_delta\":null}";
   }
-  // Scheduler telemetry for this record's timed reps.  bench_compare.py
-  // reports (never gates) drift in these — utilization collapse is a lead
-  // worth surfacing, but too noisy to fail CI on.
+  // Scheduler utilization for this record's timed reps (not gated).
   if (r.has_sched) {
-    std::snprintf(buf, sizeof buf,
-                  ",\"sched\":{\"utilization\":%.4f,\"steal_rate\":%.4f}",
-                  r.sched_util, r.steal_rate);
+    std::snprintf(buf, sizeof buf, ",\"sched\":{\"utilization\":%.4f}",
+                  r.sched_util);
     out += buf;
   } else {
     out += ",\"sched\":null";
   }
   // Profiler attribution for this record's timed reps (--profile).
-  // bench_compare.py reports (never gates) drift in the top phase paths.
   if (r.has_prof) {
     std::snprintf(buf, sizeof buf,
                   ",\"profile\":{\"hz\":%u,\"samples\":%" PRIu64
@@ -188,13 +181,7 @@ std::string render_record(const std::string& bench, const BenchRecord& r) {
                     r.prof_top[i].samples);
       out += buf;
     }
-    out += "],\"est_gbps\":";
-    if (r.est_gbps < 0) {
-      out += "null}";
-    } else {
-      std::snprintf(buf, sizeof buf, "%.4f}", r.est_gbps);
-      out += buf;
-    }
+    out += "]}";
   } else {
     out += ",\"profile\":null";
   }
@@ -314,7 +301,6 @@ BenchMeasurement measure_mst(const std::string& name, const CsrGraph& g,
       const obs::SchedulerSummary ss = obs::scheduler_summary();
       if (ss.has_events) {
         r.sched_util = ss.utilization;
-        r.steal_rate = ss.steal_success_rate;
         r.has_sched = true;
       }
     }
@@ -366,18 +352,6 @@ BenchMeasurement measure_mst(const std::string& name, const CsrGraph& g,
                   });
         if (r.prof_top.size() > 3) r.prof_top.resize(3);
       }
-      // Estimated DRAM bandwidth over the timed reps: hw cache-miss delta
-      // x line size / timed wall.  A lower bound (prefetch and
-      // write-allocate traffic are not counted) — see obs/bandwidth.hpp.
-      if (r.has_hw && r.hw.cache_misses != obs::kHwAbsent) {
-        double wall_ms = 0;
-        for (const double ms : r.samples_ms) wall_ms += ms;
-        if (wall_ms > 0) {
-          r.est_gbps = static_cast<double>(r.hw.cache_misses *
-                                           obs::kCacheLineBytes) /
-                       (wall_ms * 1e6);
-        }
-      }
     }
     push_record(std::move(r));
   }
@@ -407,8 +381,7 @@ ObsCli::ObsCli(CliParser& cli)
           "profile", false,
           "bracket every measured datapoint's timed repetitions with the "
           "per-thread CPU-time sampling profiler and record the top-3 "
-          "hottest phase paths (plus est. DRAM bandwidth with "
-          "--hw-counters) into the bench records")),
+          "hottest phase paths into the bench records")),
       profile_hz_(&cli.add_int(
           "profile-hz", static_cast<std::int64_t>(obs::kDefaultProfileHz),
           "profiler sampling rate in samples/second of per-thread CPU "

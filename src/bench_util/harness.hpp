@@ -14,14 +14,12 @@
 //          "mean":..,"stddev":..},
 //    "samples_ms":[..],"hw":null|{..},"mem":{..},"sched":null|{..},
 //    "profile":null|{"hz":97,"samples":N,
-//                    "top_phases":[{"name":..,"samples":N}, ...x3],
-//                    "est_gbps":X|null}}
+//                    "top_phases":[{"name":..,"samples":N}, ...x3]}}
 //
-// The "profile" section (--profile) brackets the timed repetitions with the
-// sampling profiler (obs/profiler.hpp) and records the top-3 hottest phase
-// paths plus the estimated DRAM bandwidth (cache-miss delta x line size /
-// timed wall, needs --hw-counters).  tools/bench_compare.py *reports* hot-
-// path drift between records — it never gates on it.
+// "sched" is {"utilization":X} over the timed repetitions.  The "profile"
+// section (--profile) brackets the timed repetitions with the sampling
+// profiler (obs/profiler.hpp) and records the top-3 hottest phase paths.
+// Neither is gated.
 //
 // tools/bench_compare.py consumes directories of these records for the
 // perf-regression gate; tools/check_report_schema.py validates them.

@@ -1,7 +1,7 @@
 // Utilization and critical-path analysis over the scheduler event rings
-// (obs/sched_events.hpp): per-worker busy/idle breakdowns, steal success
-// rate, the adaptive-grain decision histogram, and a critical-path lower
-// bound derived from the event timelines.
+// (obs/sched_events.hpp): per-worker busy breakdowns, the adaptive-grain
+// decision histogram, and a critical-path lower bound derived from the
+// event timelines.
 //
 // The critical-path bound is the classic span argument run backwards: any
 // wall-clock interval during which at most ONE worker was inside a task
@@ -25,26 +25,18 @@ namespace llpmst::obs {
 
 struct WorkerBreakdown {
   std::uint32_t worker = 0;
-  std::uint64_t busy_us = 0;   // summed task spans
-  std::uint64_t idle_us = 0;   // summed idle spans (steal-loop waits)
-  std::uint64_t tasks = 0;     // task spans recorded
-  std::uint64_t steal_attempts = 0;   // failed probes + successes
-  std::uint64_t steal_successes = 0;
+  std::uint64_t busy_us = 0;  // summed task spans
+  std::uint64_t tasks = 0;    // task spans recorded
 };
 
 struct SchedulerSummary {
   bool has_events = false;
-  /// sum(busy) / (span * workers); in [0, 1] whenever has_events (0 only
-  /// when events exist but no task span does, e.g. a single-thread run
-  /// that recorded nothing beyond grain decisions).
+  /// sum(busy) / (span * workers), capped at 1, whenever has_events.  A
+  /// snapshot of point events only (span 0) reads 1.0, not a division by
+  /// zero; 0 only when the events span time but none is a task span.
   double utilization = 0.0;
-  /// successes / (failed probes + successes); 0 when no steals happened.
-  double steal_success_rate = 0.0;
   std::uint64_t span_us = 0;  // first event start to last event end
   std::uint64_t busy_us = 0;
-  std::uint64_t idle_us = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_successes = 0;
   /// Lower bound on the critical path: time with <= 1 worker busy.
   std::uint64_t critical_path_us = 0;
   std::uint64_t dropped_events = 0;
@@ -60,8 +52,8 @@ struct SchedulerSummary {
 [[nodiscard]] SchedulerSummary scheduler_summary();
 
 /// Re-emits the buffered scheduler events into the Chrome trace as
-/// per-worker tracks — "sched/task" and "sched/idle" spans plus
-/// "sched/steal" instants under pid 1, tid = worker — so the trace viewer
+/// per-worker tracks — "sched/task" spans under pid 1, tid = worker — so
+/// the trace viewer
 /// shows the runtime's timeline next to the phase spans.  Call after the
 /// parallel work joined and BEFORE trace_stop(); no-op when the trace is
 /// not collecting.

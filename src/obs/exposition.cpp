@@ -112,10 +112,6 @@ std::string render_openmetrics() {
     out += "llpmst_sched_utilization_ratio ";
     append_double(out, sched.utilization);
     out.push_back('\n');
-    append_type(out, "llpmst_sched_steal_success_ratio", "gauge");
-    out += "llpmst_sched_steal_success_ratio ";
-    append_double(out, sched.steal_success_rate);
-    out.push_back('\n');
     append_type(out, "llpmst_sched_critical_path_seconds", "gauge");
     out += "llpmst_sched_critical_path_seconds ";
     append_double(out, static_cast<double>(sched.critical_path_us) * 1e-6);
@@ -126,14 +122,6 @@ std::string render_openmetrics() {
       append_u64(out, w.worker);
       out += "\"} ";
       append_double(out, static_cast<double>(w.busy_us) * 1e-6);
-      out.push_back('\n');
-    }
-    append_type(out, "llpmst_sched_worker_idle_seconds", "counter");
-    for (const WorkerBreakdown& w : sched.workers) {
-      out += "llpmst_sched_worker_idle_seconds_total{worker=\"";
-      append_u64(out, w.worker);
-      out += "\"} ";
-      append_double(out, static_cast<double>(w.idle_us) * 1e-6);
       out.push_back('\n');
     }
     append_type(out, "llpmst_sched_dropped_events", "counter");

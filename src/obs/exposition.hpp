@@ -13,8 +13,9 @@
 //   * phases        -> llpmst_phase_seconds_total{phase="..."} plus
 //                      llpmst_phase_count_total{phase="..."}
 //   * scheduler     -> llpmst_sched_utilization_ratio,
-//                      llpmst_sched_steal_success_ratio, and per-worker
-//                      busy/idle seconds keyed by a worker="N" label
+//                      llpmst_sched_critical_path_seconds, per-worker busy
+//                      seconds keyed by a worker="N" label, and
+//                      llpmst_sched_dropped_events_total
 //   * rounds        -> llpmst_solver_rounds{site="..."} and
 //                      llpmst_solver_round_seconds_total{site="..."}
 //   * always        -> llpmst_build_info{obs="0"|"1"} 1 and a final "# EOF"

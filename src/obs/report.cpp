@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/bandwidth.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/mem_stats.hpp"
 #include "obs/metrics.hpp"
@@ -108,7 +107,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     out += "\"algo\":null,";
   }
 
-  // --- hardware counters (schema v2)
+  // --- hardware counters
   if (hw == nullptr) {
     out += "\"hw\":null,";
   } else if (!hw->available) {
@@ -138,7 +137,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     out += "]},";
   }
 
-  // --- memory (schema v2; peak RSS works in every flavour)
+  // --- memory (peak RSS works in every flavour)
   {
     const MemSample mem = mem_sample();
     out += "\"mem\":{";
@@ -194,7 +193,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
   }
   out += "],";
 
-  // --- per-round solver telemetry (schema v3; [] when nothing recorded)
+  // --- per-round solver telemetry ([] when nothing recorded)
   out += "\"rounds\":[";
   first = true;
   for (const RoundRecord& rr : snapshot_rounds()) {
@@ -214,7 +213,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
   }
   out += "],";
 
-  // --- scheduler summary (schema v3; null when no events were collected)
+  // --- scheduler summary (null when no events were collected)
   {
     const SchedulerSummary sched = scheduler_summary();
     if (!sched.has_events) {
@@ -225,14 +224,8 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
       std::snprintf(buf, sizeof(buf), "\"utilization\":%.4f,",
                     sched.utilization);
       out += buf;
-      std::snprintf(buf, sizeof(buf), "\"steal_success_rate\":%.4f,",
-                    sched.steal_success_rate);
-      out += buf;
       append_kv_u64(out, "span_us", sched.span_us);
       append_kv_u64(out, "busy_us", sched.busy_us);
-      append_kv_u64(out, "idle_us", sched.idle_us);
-      append_kv_u64(out, "steal_attempts", sched.steal_attempts);
-      append_kv_u64(out, "steal_successes", sched.steal_successes);
       append_kv_u64(out, "critical_path_us", sched.critical_path_us);
       append_kv_u64(out, "dropped_events", sched.dropped_events);
       out += "\"workers\":[";
@@ -243,10 +236,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
         out += "{";
         append_kv_u64(out, "worker", w.worker);
         append_kv_u64(out, "busy_us", w.busy_us);
-        append_kv_u64(out, "idle_us", w.idle_us);
-        append_kv_u64(out, "tasks", w.tasks);
-        append_kv_u64(out, "steal_attempts", w.steal_attempts);
-        append_kv_u64(out, "steal_successes", w.steal_successes, false);
+        append_kv_u64(out, "tasks", w.tasks, false);
         out += "}";
       }
       out += "],\"grain_hist\":[";
@@ -263,7 +253,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     }
   }
 
-  // --- profiler samples (schema v4; null when not requested)
+  // --- profiler samples (null when not requested)
   if (profile == nullptr) {
     out += "\"profile\":null,";
   } else if (!profile->available) {
@@ -302,42 +292,6 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
       out += "}";
     }
     out += "]},";
-  }
-
-  // --- estimated DRAM bandwidth per phase (schema v4; derived from hw)
-  if (hw == nullptr) {
-    out += "\"bandwidth\":null,";
-  } else {
-    const BandwidthSnapshot bw = bandwidth_snapshot(hw);
-    if (!bw.available) {
-      out += "\"bandwidth\":{\"available\":false,\"reason\":";
-      out += json_quote(bw.unavailable_reason);
-      out += "},";
-    } else {
-      out += "\"bandwidth\":{\"available\":true,";
-      append_kv_u64(out, "line_bytes", bw.line_bytes);
-      out += "\"phases\":[";
-      bool first_b = true;
-      for (const PhaseBandwidth& p : bw.phases) {
-        if (!first_b) out.push_back(',');
-        first_b = false;
-        out += "{\"name\":";
-        out += json_quote(p.name);
-        out += ",";
-        append_kv_u64(out, "cache_misses", p.cache_misses);
-        append_kv_u64(out, "est_bytes", p.est_bytes);
-        append_kv_ms(out, "wall_ms", p.wall_ms);
-        char bbuf[96];
-        std::snprintf(bbuf, sizeof(bbuf),
-                      "\"est_gbps\":%.4f,\"instr_per_byte\":%.4f,",
-                      p.est_gbps, p.instr_per_byte);
-        out += bbuf;
-        out += "\"verdict\":";
-        out += json_quote(bound_verdict_name(p.verdict));
-        out += "}";
-      }
-      out += "]},";
-    }
   }
 
   // --- warnings

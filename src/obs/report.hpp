@@ -19,21 +19,22 @@
 //     "phases":   [{"name":..., "count":N, "total_ms":X}, ...],
 //     "rounds":   [{"label":..., "round":N, "components":N, "edges":N,
 //                   "advances":N, "wall_ms":X, "imbalance":X}, ...],
-//     "scheduler": null | {"utilization":X, "steal_success_rate":X,
-//                          "span_us":N, ..., "workers":[...],
-//                          "grain_hist":[...]},
+//     "scheduler": null | {"utilization":X, "span_us":N, "busy_us":N,
+//                          "critical_path_us":N, "dropped_events":N,
+//                          "workers":[{"worker":N, "busy_us":N,
+//                                      "tasks":N}, ...],
+//                          "grain_hist":[{"grain":N, "count":N}, ...]},
 //     "profile": null                                  (not requested)
 //              | {"available": false, "reason": "..."} (degraded)
 //              | {"available": true, "hz":N, "samples":N, "dropped":N,
 //                 "phases":[{"name":..., "samples":N}, ...],
 //                 "top_stacks":[{"stack":"a;b;c", "samples":N}, ...]},
-//     "bandwidth": null | {"available": false, "reason": "..."}
-//                | {"available": true, "line_bytes":64,
-//                   "phases":[{"name":..., "cache_misses":N,
-//                              "est_bytes":N, "wall_ms":X, "est_gbps":X,
-//                              "instr_per_byte":X, "verdict":"..."}]},
 //     "warnings": ["..."]
 //   }
+//
+// This is the one accepted shape.  The version stays 4 because consumers
+// match the literal head `{"schema":"llpmst-run-report","schema_version":4,
+// "run":` and read "algo" straight after "run"; keep that prefix stable.
 //
 // The report itself is always available — an LLPMST_OBS=0 build emits the
 // same document with empty counters/gauges/phases (and the "unavailable"
@@ -70,9 +71,7 @@ struct RunInfo {
 /// stats); `hw` may be null (hardware counters not requested — the "hw"
 /// section serializes as JSON null); `profile` may be null (profiling not
 /// requested — the "profile" section serializes as JSON null).  The "mem"
-/// section is always gathered internally via mem_sample(); "bandwidth" is
-/// derived from `hw` plus the phase aggregates (null when hw is null, the
-/// degraded shape when hw is degraded — schema v4).
+/// section is always gathered internally via mem_sample().
 [[nodiscard]] std::string build_run_report(const RunInfo& info,
                                            const MstAlgoStats* algo,
                                            const HwSample* hw = nullptr,

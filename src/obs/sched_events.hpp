@@ -35,27 +35,18 @@ namespace llpmst::obs {
 enum class SchedEventKind : std::uint8_t {
   /// Span: one worker's share of a team region; value = duration in us.
   kTask = 0,
-  /// kIdle, kStealAttempt and kStealSuccess have no emitter (the chunked
-  /// runtime neither idles in a loop nor steals); the report's idle and
-  /// steal fields they feed read 0 until the schemas drop them.
-  /// Span: a worker idling for work; value = duration in us.
-  kIdle = 1,
-  /// Point: end of an idle episode; value = failed steal probes during it.
-  kStealAttempt = 2,
-  /// Point: a steal probe handed over an item; value = 1.
-  kStealSuccess = 3,
   /// Point: parallel_for_adaptive dispatched a team; value = chosen grain.
-  kGrain = 4,
+  kGrain = 1,
   /// Point: parallel_for_adaptive ran inline (predicted cost below the
   /// serial cutoff); value = range size.
-  kGrainSerial = 5,
+  kGrainSerial = 2,
 };
 
 struct SchedEvent {
   SchedEventKind kind = SchedEventKind::kTask;
   std::uint32_t worker = 0;  // obs shard id of the recording thread
   std::uint64_t ts_us = 0;   // span start (spans) / event time (points)
-  std::uint64_t value = 0;   // duration, probe count, or grain (see kind)
+  std::uint64_t value = 0;   // duration, grain or range size (see kind)
 };
 
 struct SchedSnapshot {

@@ -17,7 +17,6 @@
 #include <ctime>
 
 #include "mst/mst_result.hpp"
-#include "obs/bandwidth.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/exposition.hpp"
 #include "obs/hw_counters.hpp"
@@ -286,7 +285,7 @@ TEST(ObsReport, JsonQuoteEscapes) {
   EXPECT_EQ(obs::json_quote("a\nb"), "\"a\\nb\"");
 }
 
-// --- Hardware counters (schema v2 "hw" section). ----------------------
+// --- Hardware counters (the report's "hw" section). -------------------
 
 obs::RunInfo test_run_info() {
   obs::RunInfo info;
@@ -376,7 +375,7 @@ TEST(ObsHwCounters, ScopedDeltasFoldIntoPhaseAggregates) {
   obs::hw_end();
 }
 
-// --- Memory stats (schema v2 "mem" section). --------------------------
+// --- Memory stats (the report's "mem" section). -----------------------
 
 TEST(ObsMemStats, PeakRssIsPositiveAndMonotonic) {
   const obs::MemSample before = obs::mem_sample();
@@ -412,23 +411,37 @@ TEST(ObsMemStats, AllocationCountersGrowWhenCompiledIn) {
   }
 }
 
-// --- The v3 report document. ------------------------------------------
+// --- The run report document. ----------------------------------------
 
 TEST(ObsReport, SchemaV4CarriesHwNullMemRoundsAndScheduler) {
   obs::reset_rounds();
+  obs::sched_start();
+  obs::sched_record(obs::SchedEventKind::kTask, obs::now_us(), 25);
+  obs::sched_stop();
   const std::string report =
       obs::build_run_report(test_run_info(), nullptr, nullptr);
+  obs::sched_start();  // clear the rings for whatever runs next
+  obs::sched_stop();
   EXPECT_TRUE(json_balanced(report)) << report;
   EXPECT_NE(report.find("\"schema_version\":4"), std::string::npos);
   // --hw-counters not requested: hw must be JSON null, not omitted.
   EXPECT_NE(report.find("\"hw\":null"), std::string::npos) << report;
   EXPECT_NE(report.find("\"mem\":{\"peak_rss_bytes\":"), std::string::npos)
       << report;
-  // v3: the rounds array and scheduler section are always present — empty
+  // The rounds array and scheduler section are always present — empty
   // and null when nothing was collected, never omitted.
   EXPECT_NE(report.find("\"rounds\":["), std::string::npos) << report;
   EXPECT_NE(report.find("\"scheduler\":"), std::string::npos) << report;
+  // The one report shape has no bandwidth section and no steal/idle fields.
+  EXPECT_EQ(report.find("\"bandwidth\""), std::string::npos) << report;
+  EXPECT_EQ(report.find("steal"), std::string::npos) << report;
+  EXPECT_EQ(report.find("idle"), std::string::npos) << report;
   if constexpr (obs::kCompiledIn) {
+    EXPECT_NE(report.find("\"scheduler\":{\"utilization\":"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("\"workers\":[{\"worker\":"), std::string::npos)
+        << report;
     EXPECT_NE(report.find("\"alloc\":{\"count\":"), std::string::npos)
         << report;
   } else {
@@ -460,7 +473,7 @@ TEST(ObsReport, SchemaV3SerializesRecordedRounds) {
   obs::reset_rounds();
 }
 
-// --- Scheduler event rings (schema v3 "scheduler" section). -----------
+// --- Scheduler event rings (the report's "scheduler" section). --------
 
 TEST(ObsSchedEvents, RecordsOnlyWhileCollecting) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
@@ -468,7 +481,7 @@ TEST(ObsSchedEvents, RecordsOnlyWhileCollecting) {
   obs::sched_start();
   EXPECT_TRUE(obs::sched_collecting());
   obs::sched_record(obs::SchedEventKind::kTask, 100, 40);
-  obs::sched_record(obs::SchedEventKind::kStealSuccess, 150, 1);
+  obs::sched_record(obs::SchedEventKind::kGrain, 150, 1);
   obs::sched_stop();
   EXPECT_FALSE(obs::sched_collecting());
   obs::sched_record(obs::SchedEventKind::kTask, 200, 5);  // after stop
@@ -479,7 +492,7 @@ TEST(ObsSchedEvents, RecordsOnlyWhileCollecting) {
   EXPECT_EQ(snap.events[0].kind, obs::SchedEventKind::kTask);
   EXPECT_EQ(snap.events[0].ts_us, 100u);
   EXPECT_EQ(snap.events[0].value, 40u);
-  EXPECT_EQ(snap.events[1].kind, obs::SchedEventKind::kStealSuccess);
+  EXPECT_EQ(snap.events[1].kind, obs::SchedEventKind::kGrain);
   EXPECT_EQ(snap.events[1].ts_us, 150u);
   // Buffered events survive until the next start, which clears them.
   obs::sched_start();
@@ -531,12 +544,9 @@ TEST(ObsCriticalPath, AnalyzesSyntheticTimeline) {
     e.value = v;
     snap.events.push_back(e);
   };
-  // Worker 0 busy [0,100); worker 1 idles [0,50) then busy [50,150).
+  // Worker 0 busy [0,100); worker 1 busy [50,150).
   add(obs::SchedEventKind::kTask, 0, 0, 100);
-  add(obs::SchedEventKind::kIdle, 1, 0, 50);
   add(obs::SchedEventKind::kTask, 1, 50, 100);
-  add(obs::SchedEventKind::kStealAttempt, 1, 50, 3);  // 3 failed probes
-  add(obs::SchedEventKind::kStealSuccess, 1, 50, 1);
   add(obs::SchedEventKind::kGrain, 0, 10, 4096);
   add(obs::SchedEventKind::kGrain, 0, 20, 5000);  // same pow2 bucket
   add(obs::SchedEventKind::kGrainSerial, 0, 30, 64);
@@ -546,20 +556,15 @@ TEST(ObsCriticalPath, AnalyzesSyntheticTimeline) {
   EXPECT_TRUE(sum.has_events);
   EXPECT_EQ(sum.span_us, 150u);
   EXPECT_EQ(sum.busy_us, 200u);
-  EXPECT_EQ(sum.idle_us, 50u);
   EXPECT_EQ(sum.dropped_events, 2u);
   EXPECT_NEAR(sum.utilization, 200.0 / (150.0 * 2.0), 1e-12);
-  EXPECT_EQ(sum.steal_attempts, 4u);
-  EXPECT_EQ(sum.steal_successes, 1u);
-  EXPECT_DOUBLE_EQ(sum.steal_success_rate, 0.25);
   // Only [50,100) has both workers busy; the rest is critical path.
   EXPECT_EQ(sum.critical_path_us, 100u);
   ASSERT_EQ(sum.workers.size(), 2u);
   EXPECT_EQ(sum.workers[0].worker, 0u);
   EXPECT_EQ(sum.workers[0].busy_us, 100u);
   EXPECT_EQ(sum.workers[0].tasks, 1u);
-  EXPECT_EQ(sum.workers[1].idle_us, 50u);
-  EXPECT_EQ(sum.workers[1].steal_successes, 1u);
+  EXPECT_EQ(sum.workers[1].busy_us, 100u);
   // Grain histogram: bucket 0 = ran inline, 4096 holds both grain picks.
   ASSERT_EQ(sum.grain_hist.size(), 2u);
   EXPECT_EQ(sum.grain_hist[0], (std::pair<std::uint64_t, std::uint64_t>{
@@ -571,9 +576,9 @@ TEST(ObsCriticalPath, AnalyzesSyntheticTimeline) {
 TEST(ObsCriticalPath, PointOnlySnapshotCountsAsFullyUtilized) {
   obs::SchedSnapshot snap;
   obs::SchedEvent e;
-  e.kind = obs::SchedEventKind::kStealSuccess;
+  e.kind = obs::SchedEventKind::kGrainSerial;
   e.ts_us = 42;
-  e.value = 1;
+  e.value = 64;
   snap.events.push_back(e);
   const obs::SchedulerSummary sum = obs::analyze_sched(snap);
   EXPECT_TRUE(sum.has_events);
@@ -582,7 +587,7 @@ TEST(ObsCriticalPath, PointOnlySnapshotCountsAsFullyUtilized) {
   EXPECT_DOUBLE_EQ(sum.utilization, 1.0);
 }
 
-// --- Per-round solver telemetry (schema v3 "rounds" array). -----------
+// --- Per-round solver telemetry (the report's "rounds" array). --------
 
 TEST(ObsRounds, RecordSnapshotAndResetHonourTheEnabledGate) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
@@ -732,11 +737,13 @@ TEST(ObsExposition, SchedulerSummaryShowsUpAfterCollection) {
   EXPECT_NE(doc.find("llpmst_sched_worker_busy_seconds_total{worker=\""),
             std::string::npos)
       << doc;
+  EXPECT_EQ(doc.find("steal"), std::string::npos) << doc;
+  EXPECT_EQ(doc.find("idle"), std::string::npos) << doc;
   obs::sched_start();  // clear the rings for whatever runs next
   obs::sched_stop();
 }
 
-// --- The sampling profiler (schema v4 "profile" section). --------------
+// --- The sampling profiler (the report's "profile" section). ----------
 
 /// Burns at least `ms` of this thread's CPU time (the profiler's timers
 /// count CPU time, not wall time) and returns a value derived from the
@@ -872,43 +879,14 @@ TEST(ObsProfiler, StackOnlyModeSkipsTimingAggregates) {
 }
 #endif  // LLPMST_OBS
 
-// --- DRAM-bandwidth accounting (schema v4 "bandwidth" section). --------
+// --- The report's "profile" section. ----------------------------------
 
-TEST(ObsBandwidth, DegradationContractMatchesHwShape) {
-  // No hw sample: explicit "not requested" reason.
-  const obs::BandwidthSnapshot none = obs::bandwidth_snapshot(nullptr);
-  EXPECT_FALSE(none.available);
-  EXPECT_FALSE(none.unavailable_reason.empty());
-
-  // Unavailable hw: the reason must pass through verbatim.
-  obs::HwSample hw;
-  hw.available = false;
-  hw.unavailable_reason = "no PMU in this VM";
-  const obs::BandwidthSnapshot degraded = obs::bandwidth_snapshot(&hw);
-  EXPECT_FALSE(degraded.available);
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_EQ(degraded.unavailable_reason, "no PMU in this VM");
-  }
-}
-
-TEST(ObsBandwidth, VerdictNamesAreStable) {
-  // tools/check_report_schema.py hard-codes these strings.
-  EXPECT_STREQ(obs::bound_verdict_name(obs::BoundVerdict::kUnknown),
-               "unknown");
-  EXPECT_STREQ(obs::bound_verdict_name(obs::BoundVerdict::kComputeBound),
-               "compute-bound");
-  EXPECT_STREQ(obs::bound_verdict_name(obs::BoundVerdict::kMemoryBound),
-               "memory-bound");
-}
-
-// --- The v4 report document. ------------------------------------------
-
-TEST(ObsReport, SchemaV4ProfileAndBandwidthNullWhenNotRequested) {
+TEST(ObsReport, SchemaV4ProfileNullWhenNotRequested) {
   const std::string report =
       obs::build_run_report(test_run_info(), nullptr, nullptr, nullptr);
   EXPECT_TRUE(json_balanced(report)) << report;
   EXPECT_NE(report.find("\"profile\":null"), std::string::npos) << report;
-  EXPECT_NE(report.find("\"bandwidth\":null"), std::string::npos) << report;
+  EXPECT_EQ(report.find("\"bandwidth\""), std::string::npos) << report;
 }
 
 TEST(ObsReport, SchemaV4SerializesProfileSnapshot) {
@@ -940,7 +918,7 @@ TEST(ObsReport, SchemaV4SerializesProfileSnapshot) {
   }
 }
 
-TEST(ObsReport, SchemaV4SerializesDegradedProfileAndBandwidth) {
+TEST(ObsReport, SchemaV4SerializesDegradedProfileAndHw) {
   obs::ProfSnapshot prof;
   prof.available = false;
   prof.unavailable_reason = "profiler not started";
@@ -954,10 +932,13 @@ TEST(ObsReport, SchemaV4SerializesDegradedProfileAndBandwidth) {
     EXPECT_NE(report.find("\"profile\":{\"available\":false,\"reason\":"),
               std::string::npos)
         << report;
-    EXPECT_NE(report.find("\"bandwidth\":{\"available\":false,\"reason\":"),
-              std::string::npos)
-        << report;
   }
+  // A degraded hw section serializes as such; it derives no other section.
+  EXPECT_NE(
+      report.find("\"hw\":{\"available\":false,\"reason\":\"no PMU\"}"),
+      std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("\"bandwidth\""), std::string::npos) << report;
 }
 
 }  // namespace

@@ -29,27 +29,6 @@ gated too: a key is an ALLOC REGRESSION when the candidate allocates more
 than (1 + --alloc-threshold) times the baseline per repetition (with a
 small absolute floor so near-zero counts don't flag on +1 alloc).
 
-When both records carry a "sched" section ({utilization, steal_rate},
-emitted since schema PR 6), utilization drift beyond --util-drift is
-REPORTED — never gated: utilization collapse is a scaling lead worth
-surfacing in the log, but it is far too machine/noise-dependent to fail
-CI on.  Records without the section (older baselines) are simply not
-compared.
-
-The same report-only treatment applies to mem.peak_rss_bytes: when both
-records carry a positive peak RSS, a relative change beyond --rss-drift
-(with a 1 MiB absolute floor, since ru_maxrss is page-granular and small
-processes jitter) is REPORTED, never gated.  Peak RSS is the signal that
-distinguishes a heap-built graph from an mmapped snapshot, so drift here
-usually means a storage-backend or working-set change worth a look.
-
-Likewise for the "profile" section (--profile; top-3 hottest phase
-paths by profiler samples): when both records carry one, a change in
-the hottest phase path — or the hottest path's sample share moving by
-more than --hotpath-drift — is REPORTED, never gated.  Where the time
-goes is a triage lead for a human reading the log; sampling noise at
-ci-smoke durations makes it useless as a pass/fail signal.
-
 A duplicate key inside either record set is an error: two records for the
 same (bench, workload, algo, threads) means a stale file or a double run,
 and silently comparing whichever came last would gate on the wrong data.
@@ -140,44 +119,6 @@ def alloc_per_rep(doc):
     return count / reps
 
 
-def sched_util(doc):
-    """The record's scheduler utilization, or None when not recorded."""
-    sched = doc.get("sched")
-    if not isinstance(sched, dict):
-        return None
-    u = sched.get("utilization")
-    if not isinstance(u, (int, float)) or not 0 <= u <= 1:
-        return None
-    return float(u)
-
-
-def peak_rss(doc):
-    """The record's peak RSS in bytes, or None when absent/unusable."""
-    rss = (doc.get("mem") or {}).get("peak_rss_bytes")
-    if not isinstance(rss, int) or rss <= 0:
-        return None
-    return rss
-
-
-def hot_path(doc):
-    """The record's hottest profiled phase path as (name, share-of-samples),
-    or None when the record carries no usable profile section."""
-    prof = doc.get("profile")
-    if not isinstance(prof, dict):
-        return None
-    total = prof.get("samples")
-    top = prof.get("top_phases")
-    if not isinstance(total, int) or total <= 0 or not isinstance(top, list):
-        return None
-    if not top or not isinstance(top[0], dict):
-        return None
-    name = top[0].get("name")
-    samples = top[0].get("samples")
-    if not isinstance(name, str) or not isinstance(samples, int):
-        return None
-    return name, samples / total
-
-
 def fmt_key(key):
     bench, workload, algo, threads = key
     return f"{bench} / {workload} / {algo} / {threads}T"
@@ -205,18 +146,6 @@ def main():
     ap.add_argument("--alloc-floor", type=float, default=64.0,
                     help="absolute allocations-per-repetition increase below "
                          "which the alloc gate never flags (default: 64)")
-    ap.add_argument("--util-drift", type=float, default=0.05,
-                    help="absolute scheduler-utilization change worth "
-                         "reporting (default: 0.05); informational only, "
-                         "never fails the run")
-    ap.add_argument("--rss-drift", type=float, default=0.25,
-                    help="relative peak-RSS change worth reporting "
-                         "(default: 0.25 = 25%%); informational only, "
-                         "never fails the run")
-    ap.add_argument("--hotpath-drift", type=float, default=0.15,
-                    help="absolute change in the hottest phase path's "
-                         "sample share worth reporting (default: 0.15); "
-                         "informational only, never fails the run")
     args = ap.parse_args()
 
     base, base_skipped = load_records(args.baseline)
@@ -234,10 +163,6 @@ def main():
 
     regressions, improvements, stable, missing = [], [], [], []
     alloc_regressions, alloc_compared = [], 0
-    util_drifts, util_compared = [], 0
-    rss_drifts, rss_compared = [], 0
-    hot_drifts, hot_compared = [], 0
-    rss_floor = 1 << 20  # ru_maxrss is page-granular; ignore sub-MiB jitter
     for key in sorted(base):
         if key not in cand:
             missing.append(key)
@@ -263,25 +188,6 @@ def main():
                     ac > (1 + args.alloc_threshold) * ab):
                 alloc_regressions.append((key, ab, ac))
 
-        ub, uc = sched_util(base[key]), sched_util(cand[key])
-        if ub is not None and uc is not None:
-            util_compared += 1
-            if abs(uc - ub) > args.util_drift:
-                util_drifts.append((key, ub, uc))
-
-        rb, rc = peak_rss(base[key]), peak_rss(cand[key])
-        if rb is not None and rc is not None:
-            rss_compared += 1
-            if (abs(rc - rb) > rss_floor and
-                    abs(rc - rb) / rb > args.rss_drift):
-                rss_drifts.append((key, rb, rc))
-
-        hb, hc = hot_path(base[key]), hot_path(cand[key])
-        if hb is not None and hc is not None:
-            hot_compared += 1
-            if hb[0] != hc[0] or abs(hc[1] - hb[1]) > args.hotpath_drift:
-                hot_drifts.append((key, hb, hc))
-
     new_keys = sorted(set(cand) - set(base))
 
     print(f"compared {len(base) - len(missing)} key(s) "
@@ -301,37 +207,6 @@ def main():
                   f"{ab:.0f} -> {ac:.0f} allocs/rep{rel}")
         print(f"  alloc gate: compared {alloc_compared} key(s), "
               f"regressed: {len(alloc_regressions)}")
-    if util_compared:
-        # Informational only: utilization is machine- and load-dependent,
-        # so drift is surfaced for humans but never fails the run.
-        for key, ub, uc in util_drifts:
-            print(f"  util drift {fmt_key(key)}: "
-                  f"{ub:.1%} -> {uc:.1%} ({uc - ub:+.1%})")
-        print(f"  utilization: compared {util_compared} key(s), "
-              f"drifted >{args.util_drift:.0%}: {len(util_drifts)} "
-              f"(report-only, never gated)")
-    if rss_compared:
-        # Informational only: peak RSS moves with the storage backend and
-        # the machine's page cache, so drift is a lead, not a gate.
-        for key, rb, rc in rss_drifts:
-            print(f"  peak-RSS drift {fmt_key(key)}: "
-                  f"{rb / (1 << 20):.1f} MiB -> {rc / (1 << 20):.1f} MiB "
-                  f"({(rc - rb) / rb:+.1%})")
-        print(f"  peak RSS: compared {rss_compared} key(s), "
-              f"drifted >{args.rss_drift:.0%}: {len(rss_drifts)} "
-              f"(report-only, never gated)")
-    if hot_compared:
-        # Informational only, like utilization: where the samples land is a
-        # triage lead, not a correctness or performance contract.
-        for key, (nb, sb), (nc, sc) in hot_drifts:
-            if nb != nc:
-                print(f"  hot-path drift {fmt_key(key)}: "
-                      f"{nb} ({sb:.0%}) -> {nc} ({sc:.0%})")
-            else:
-                print(f"  hot-path drift {fmt_key(key)}: "
-                      f"{nb} {sb:.0%} -> {sc:.0%} ({sc - sb:+.0%})")
-        print(f"  hot paths: compared {hot_compared} key(s), "
-              f"drifted: {len(hot_drifts)} (report-only, never gated)")
     for key in missing:
         print(f"  warning: baseline key missing from candidate: "
               f"{fmt_key(key)}")

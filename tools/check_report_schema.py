@@ -5,23 +5,21 @@
 
 Understands three document kinds, dispatched on the "schema" field:
 
-  * llpmst-run-report (schema_version 1 through 4) — the --metrics-json
-    run report.  Version 2 adds the "hw" (hardware counters, null-safe)
-    and "mem" (peak RSS + allocation stats) sections; version 3 adds the
-    "rounds" array (per-round solver telemetry) and the "scheduler"
-    section (utilization / steal / critical-path summary, null when no
-    scheduler events were collected); version 4 adds the "profile"
-    section (sampling-profiler phase/stack histograms, null when not
-    armed) and the "bandwidth" section (DRAM-bandwidth phase estimates
-    derived from hw cache-miss deltas, null when hw was not requested).
-    Both v4 sections follow the hw degradation contract: an
-    {"available": false, "reason": ...} object when the facility could
-    not run.
+  * llpmst-run-report (schema_version 4, the only accepted version) —
+    the --metrics-json run report.  Every section is required: "run",
+    "algo", "hw" (hardware counters), "mem" (peak RSS + allocation
+    stats), "counters", "gauges", "phases", "rounds" (per-round solver
+    telemetry), "scheduler" (utilization / critical-path summary, null
+    when no scheduler events were collected), "profile"
+    (sampling-profiler phase/stack histograms) and "warnings".  "hw" and
+    "profile" are null when not requested and follow the degradation
+    contract: an {"available": false, "reason": ...} object when the
+    facility could not run.
   * llpmst-bench (schema_version 1) — one structured datapoint per
     benchmark measurement, as emitted by --bench-json and consumed by
     tools/bench_compare.py.  May carry an optional "sched" section
-    (null or {utilization, steal_rate}) and an optional "profile"
-    section (null or {hz, samples, top_phases, est_gbps}).
+    (null or {utilization}) and an optional "profile" section (null or
+    {hz, samples, top_phases}).
   * llpmst-serve-response (schema_version 1) — llpmstd's response
     envelope for control ops (load/unload/list/cancel/healthz) and for
     rejected/cancelled queries: {id, op, status, error, data}.  Executed
@@ -49,6 +47,9 @@ OUTCOMES = {"ok", "non_converged", "cancelled", "deadline_exceeded",
 STATUS_CODES = {"OK", "INVALID_ARGUMENT", "CORRUPT_INPUT", "IO_ERROR",
                 "RESOURCE_EXHAUSTED", "CANCELLED", "DEADLINE_EXCEEDED",
                 "NON_CONVERGENCE", "INJECTED_FAULT", "INTERNAL"}
+
+REPORT_SECTIONS = ("run", "algo", "hw", "mem", "counters", "gauges",
+                   "phases", "rounds", "scheduler", "profile", "warnings")
 
 HW_COUNTER_FIELDS = ("cycles", "instructions", "cache_references",
                      "cache_misses", "branch_misses")
@@ -143,7 +144,7 @@ def check_mem(mem, expect, bench_record=False):
 
 
 def check_rounds(rounds, expect):
-    """Validates the v3 "rounds" array: always present, possibly empty."""
+    """Validates the "rounds" array: always present, possibly empty."""
     if not expect(isinstance(rounds, list), "rounds is not an array"):
         return
     for i, r in enumerate(rounds):
@@ -162,23 +163,18 @@ def check_rounds(rounds, expect):
 
 
 def check_scheduler(sched, expect):
-    """Validates the v3 "scheduler" section: null (no events) or a summary
-    object whose ratios sit in [0, 1] and counts are non-negative ints."""
-    if sched == "<missing>":
-        expect(False, "scheduler section is missing (must be null or an "
-                      "object)")
-        return
+    """Validates the "scheduler" section: null (no events) or a summary
+    object whose utilization sits in [0, 1] and counts are non-negative
+    ints."""
     if sched is None:
         return  # no scheduler events were collected (e.g. LLPMST_OBS=0)
     if not expect(isinstance(sched, dict),
                   "scheduler is neither null nor an object"):
         return
-    for key in ("utilization", "steal_success_rate"):
-        v = sched.get(key)
-        expect(isinstance(v, (int, float)) and 0 <= v <= 1,
-               f"scheduler.{key} = {v!r} is not a number in [0, 1]")
-    for key in ("span_us", "busy_us", "idle_us", "steal_attempts",
-                "steal_successes", "critical_path_us", "dropped_events"):
+    v = sched.get("utilization")
+    expect(isinstance(v, (int, float)) and 0 <= v <= 1,
+           f"scheduler.utilization = {v!r} is not a number in [0, 1]")
+    for key in ("span_us", "busy_us", "critical_path_us", "dropped_events"):
         v = sched.get(key)
         expect(isinstance(v, int) and v >= 0,
                f"scheduler.{key} = {v!r} is not a non-negative integer")
@@ -189,8 +185,7 @@ def check_scheduler(sched, expect):
             if not expect(isinstance(w, dict),
                           f"scheduler.workers[{i}] is not an object"):
                 continue
-            for key in ("worker", "busy_us", "idle_us", "tasks",
-                        "steal_attempts", "steal_successes"):
+            for key in ("worker", "busy_us", "tasks"):
                 v = w.get(key)
                 expect(isinstance(v, int) and v >= 0,
                        f"scheduler.workers[{i}].{key} = {v!r} is not a "
@@ -209,13 +204,9 @@ def check_scheduler(sched, expect):
 
 
 def check_profile(profile, expect):
-    """Validates the v4 "profile" section: null (profiler not armed), an
+    """Validates the "profile" section: null (profiler not armed), an
     {"available": false, "reason"} degradation object, or the full
     phase/stack sample histograms."""
-    if profile == "<missing>":
-        expect(False, "profile section is missing (must be null or an "
-                      "object)")
-        return
     if profile is None:
         return  # profiler not armed for this run
     if not expect(isinstance(profile, dict),
@@ -260,62 +251,6 @@ def check_profile(profile, expect):
                    and s.get("samples", 0) >= 1,
                    f"profile.top_stacks[{i}].samples is "
                    f"{s.get('samples')!r}")
-
-
-BANDWIDTH_VERDICTS = {"unknown", "compute-bound", "memory-bound"}
-
-
-def check_bandwidth(bw, expect):
-    """Validates the v4 "bandwidth" section: null (hw not requested), an
-    {"available": false, "reason"} degradation object, or per-phase DRAM
-    traffic estimates with roofline-style verdicts."""
-    if bw == "<missing>":
-        expect(False, "bandwidth section is missing (must be null or an "
-                      "object)")
-        return
-    if bw is None:
-        return  # --hw-counters not requested
-    if not expect(isinstance(bw, dict),
-                  "bandwidth is neither null nor an object"):
-        return
-    avail = bw.get("available")
-    if not expect(isinstance(avail, bool),
-                  f"bandwidth.available is {avail!r}, not a bool"):
-        return
-    if not avail:
-        expect(isinstance(bw.get("reason"), str) and bw["reason"],
-               "bandwidth.available is false but bandwidth.reason is not a "
-               "non-empty string")
-        return
-    lb = bw.get("line_bytes")
-    expect(isinstance(lb, int) and lb >= 1,
-           f"bandwidth.line_bytes = {lb!r} is not a positive integer")
-    phases = bw.get("phases")
-    if expect(isinstance(phases, list), "bandwidth.phases is not an array"):
-        for i, p in enumerate(phases):
-            if not expect(isinstance(p, dict),
-                          f"bandwidth.phases[{i}] is not an object"):
-                continue
-            expect(isinstance(p.get("name"), str) and p.get("name"),
-                   f"bandwidth.phases[{i}].name is {p.get('name')!r}")
-            for key in ("cache_misses", "est_bytes"):
-                v = p.get(key)
-                expect(isinstance(v, int) and v >= 0,
-                       f"bandwidth.phases[{i}].{key} = {v!r} is not a "
-                       "non-negative integer")
-            wall = p.get("wall_ms")
-            expect(isinstance(wall, (int, float)) and wall >= 0,
-                   f"bandwidth.phases[{i}].wall_ms = {wall!r} is not a "
-                   "non-negative number")
-            for key in ("est_gbps", "instr_per_byte"):
-                v = p.get(key, "<missing>")
-                expect(v is None or (isinstance(v, (int, float)) and v >= 0),
-                       f"bandwidth.phases[{i}].{key} = {v!r} is neither "
-                       "null nor a non-negative number")
-            verdict = p.get("verdict")
-            expect(verdict in BANDWIDTH_VERDICTS,
-                   f"bandwidth.phases[{i}].verdict {verdict!r} not one of "
-                   f"{sorted(BANDWIDTH_VERDICTS)}")
 
 
 def check_serve_error(err, expect, prefix):
@@ -394,8 +329,10 @@ def check_serve_response(doc, errors, where):
 def check_run_report(doc, errors, where):
     expect = make_expect(errors, where)
     version = doc.get("schema_version")
-    if not expect(version in (1, 2, 3, 4),
-                  f"schema_version is {version!r} (expected 1 through 4)"):
+    if not expect(version == 4, f"schema_version is {version!r} (expected 4)"):
+        return
+    missing = [key for key in REPORT_SECTIONS if key not in doc]
+    if not expect(not missing, f"missing sections: {', '.join(missing)}"):
         return
 
     run = doc.get("run")
@@ -431,18 +368,11 @@ def check_run_report(doc, errors, where):
                    f"algo.llp.outcome {algo['llp'].get('outcome')!r} not a "
                    "run outcome")
 
-    if version >= 2:
-        check_hw(doc.get("hw"), expect)
-        if expect("mem" in doc, "mem section is missing"):
-            check_mem(doc.get("mem"), expect)
-
-    if version >= 3:
-        check_rounds(doc.get("rounds"), expect)
-        check_scheduler(doc.get("scheduler", "<missing>"), expect)
-
-    if version >= 4:
-        check_profile(doc.get("profile", "<missing>"), expect)
-        check_bandwidth(doc.get("bandwidth", "<missing>"), expect)
+    check_hw(doc["hw"], expect)
+    check_mem(doc["mem"], expect)
+    check_rounds(doc["rounds"], expect)
+    check_scheduler(doc["scheduler"], expect)
+    check_profile(doc["profile"], expect)
 
     for section in ("counters", "gauges"):
         values = doc.get(section)
@@ -525,10 +455,9 @@ def check_bench_record(doc, errors, where):
     if sched is not None:
         if expect(isinstance(sched, dict),
                   "sched is neither null nor an object"):
-            for key in ("utilization", "steal_rate"):
-                v = sched.get(key)
-                expect(isinstance(v, (int, float)) and 0 <= v <= 1,
-                       f"sched.{key} = {v!r} is not a number in [0, 1]")
+            v = sched.get("utilization")
+            expect(isinstance(v, (int, float)) and 0 <= v <= 1,
+                   f"sched.utilization = {v!r} is not a number in [0, 1]")
 
     # Optional profiler attribution (--profile; records from before PR 8
     # lack the key).
@@ -559,11 +488,6 @@ def check_bench_record(doc, errors, where):
                            and p.get("samples", 0) >= 1,
                            f"profile.top_phases[{i}].samples is "
                            f"{p.get('samples')!r}")
-            gbps = prof.get("est_gbps", "<missing>")
-            expect(gbps is None
-                   or (isinstance(gbps, (int, float)) and gbps >= 0),
-                   f"profile.est_gbps = {gbps!r} is neither null nor a "
-                   "non-negative number")
 
 
 def check(doc, errors, where):

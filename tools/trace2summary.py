@@ -21,9 +21,8 @@ counter samples as well as complete spans — a trace whose first record is
 a counter event from a worker thread summarizes correctly.
 
 --utilization reads the per-worker scheduler tracks an obs-enabled build
-exports under pid 1 ("sched/task" / "sched/idle" spans, "sched/steal"
-instants) and prints a busy/idle/steal breakdown per worker plus the
-top-k longest solver rounds.  A trace without those tracks (e.g. from an
+exports under pid 1 ("sched/task" spans) and prints a busy breakdown per
+worker plus the top-k longest solver rounds.  A trace without those tracks (e.g. from an
 LLPMST_OBS=0 build) reports that and exits 0.
 """
 import argparse
@@ -99,7 +98,7 @@ def summarize(events):
 
 
 def utilization_report(events, top):
-    """Per-worker busy/idle/steal breakdown from the pid-1 scheduler tracks
+    """Per-worker busy breakdown from the pid-1 scheduler tracks
     plus the longest solver rounds; returns the process exit code."""
     workers = {}
     t_min, t_max = None, None
@@ -111,38 +110,30 @@ def utilization_report(events, top):
         ph = e.get("ph")
         ts = e.get("ts", 0)
         dur = e.get("dur", 0)
-        if e.get("pid") == 1 and name.startswith("sched/"):
+        if e.get("pid") == 1 and name == "sched/task" and ph == "X":
             w = workers.setdefault(e.get("tid", 0),
-                                   {"busy_us": 0, "idle_us": 0,
-                                    "tasks": 0, "steals": 0})
-            if name == "sched/task" and ph == "X":
-                w["busy_us"] += dur
-                w["tasks"] += 1
-            elif name == "sched/idle" and ph == "X":
-                w["idle_us"] += dur
-            elif name == "sched/steal":
-                w["steals"] += 1
+                                   {"busy_us": 0, "tasks": 0})
+            w["busy_us"] += dur
+            w["tasks"] += 1
             t_min = ts if t_min is None else min(t_min, ts)
             t_max = ts + dur if t_max is None else max(t_max, ts + dur)
         elif ph == "X" and (name == "round" or name.endswith("/round")):
             rounds.append((dur, ts, name))
 
     if not workers:
-        print("no scheduler tracks (pid 1, 'sched/*') in this trace — "
+        print("no scheduler tracks (pid 1, 'sched/task') in this trace — "
               "collect it with an LLPMST_OBS=1 build and --trace")
         return 0
 
     span_us = (t_max - t_min) if t_min is not None else 0
-    print(f"{'worker':>6}  {'busy ms':>10}  {'idle ms':>10}  {'tasks':>7}  "
-          f"{'steals':>7}  {'% busy':>6}")
+    print(f"{'worker':>6}  {'busy ms':>10}  {'tasks':>7}  {'% busy':>6}")
     total_busy = 0
     for tid in sorted(workers):
         w = workers[tid]
         total_busy += w["busy_us"]
         pct = 100.0 * w["busy_us"] / span_us if span_us else 0.0
         print(f"{tid:>6}  {w['busy_us'] / 1000.0:>10.3f}  "
-              f"{w['idle_us'] / 1000.0:>10.3f}  {w['tasks']:>7}  "
-              f"{w['steals']:>7}  {pct:>5.1f}%")
+              f"{w['tasks']:>7}  {pct:>5.1f}%")
     util = total_busy / (span_us * len(workers)) if span_us else 1.0
     print(f"\nscheduler span: {span_us / 1000.0:.3f} ms over "
           f"{len(workers)} workers, utilization {min(util, 1.0):.1%}")
@@ -166,7 +157,7 @@ def main():
                     help="print per-track counter statistics "
                          "(samples, min, max, last)")
     ap.add_argument("--utilization", action="store_true",
-                    help="per-worker busy/idle/steal breakdown from the "
+                    help="per-worker busy breakdown from the "
                          "pid-1 scheduler tracks + top-k longest rounds")
     args = ap.parse_args()
 
