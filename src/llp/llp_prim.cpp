@@ -34,19 +34,22 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
   ++r.stats.fixed_via_heap;  // the root counts as the initial heap seed
   bag_r.push_back(root);
 
-  for (;;) {
-    // "This algorithm can be terminated as soon as n-1 edges have been
-    // chosen" (Section V-A) — once everything is fixed, the remaining R
-    // members' arcs lead only to fixed vertices and the heap holds only
-    // stale entries.
-    if (num_fixed == n) break;
+  {
+    // One lap per super-step phase (Algorithm 5): drain R, flush Q, pop.
+    enum : std::size_t { kRelax, kHeapFlush, kHeapPop };
+    obs::PhaseLaps laps({"relax", "heap_flush", "heap_pop"});
+    for (;;) {
+      // "This algorithm can be terminated as soon as n-1 edges have been
+      // chosen" (Section V-A) — once everything is fixed, the remaining R
+      // members' arcs lead only to fixed vertices and the heap holds only
+      // stale entries.
+      if (num_fixed == n) break;
 
-    // Drain R: vertices here are already fixed; explore their edges.  Order
-    // within R is irrelevant (the LLP property) — we pop LIFO.  Each drain
-    // is one worklist sweep in the Algorithm 1 sense.
-    if (!bag_r.empty()) ++r.stats.llp_sweeps;
-    {
-      obs::PhaseTimer relax_span("relax");
+      // Drain R: vertices here are already fixed; explore their edges.  Order
+      // within R is irrelevant (the LLP property) — we pop LIFO.  Each drain
+      // is one worklist sweep in the Algorithm 1 sense.
+      if (!bag_r.empty()) ++r.stats.llp_sweeps;
+      laps.enter(kRelax);
       while (!bag_r.empty() && num_fixed < n) {
         const VertexId j = bag_r.back();
         bag_r.pop_back();
@@ -87,16 +90,14 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
           }
         }
       }
-    }
 
-    // Everything fixed during the drain: skip the flush and the stale heap
-    // pops entirely (keeps the heap-op counters meaningful).
-    if (num_fixed == n) break;
+      // Everything fixed during the drain: skip the flush and the stale heap
+      // pops entirely (keeps the heap-op counters meaningful).
+      if (num_fixed == n) break;
 
-    // R drained: flush the staged heap updates.  Vertices fixed for free in
-    // the meantime never touch the heap — that is the optimization.
-    {
-      obs::PhaseTimer flush_span("heap_flush");
+      // R drained: flush the staged heap updates.  Vertices fixed for free in
+      // the meantime never touch the heap — that is the optimization.
+      laps.enter(kHeapFlush);
       for (const VertexId k : q) {
         in_q[k] = 0;
         if (!fixed[k]) {
@@ -105,38 +106,38 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
         }
       }
       q.clear();
-    }
 
-    // Fall back to the heap for the next nearest non-fixed vertex.
-    bool advanced = false;
-    obs::PhaseTimer pop_span("heap_pop");
-    while (!heap.empty()) {
-      const auto [j, key] = heap.pop();
-      (void)key;
-      if (fixed[j]) continue;  // fixed via R while resident: skip (stale)
-      fixed[j] = 1;
-      ++num_fixed;
-      ++r.stats.fixed_via_heap;
-      r.edges.push_back(parent_edge[j]);
-      bag_r.push_back(j);
-      advanced = true;
-      break;
-    }
-
-    // Forest extension: component exhausted but vertices remain — start a
-    // new tree from the next unfixed vertex (it becomes that tree's root
-    // and contributes no edge).
-    if (!advanced && options.allow_forest && num_fixed < n) {
-      while (next_root < n && fixed[next_root]) ++next_root;
-      if (next_root < n) {
-        fixed[next_root] = 1;
+      // Fall back to the heap for the next nearest non-fixed vertex.
+      laps.enter(kHeapPop);
+      bool advanced = false;
+      while (!heap.empty()) {
+        const auto [j, key] = heap.pop();
+        (void)key;
+        if (fixed[j]) continue;  // fixed via R while resident: skip (stale)
+        fixed[j] = 1;
         ++num_fixed;
         ++r.stats.fixed_via_heap;
-        bag_r.push_back(static_cast<VertexId>(next_root));
+        r.edges.push_back(parent_edge[j]);
+        bag_r.push_back(j);
         advanced = true;
+        break;
       }
+
+      // Forest extension: component exhausted but vertices remain — start a
+      // new tree from the next unfixed vertex (it becomes that tree's root
+      // and contributes no edge).
+      if (!advanced && options.allow_forest && num_fixed < n) {
+        while (next_root < n && fixed[next_root]) ++next_root;
+        if (next_root < n) {
+          fixed[next_root] = 1;
+          ++num_fixed;
+          ++r.stats.fixed_via_heap;
+          bag_r.push_back(static_cast<VertexId>(next_root));
+          advanced = true;
+        }
+      }
+      if (!advanced) break;
     }
-    if (!advanced) break;
   }
 
   LLPMST_CHECK_MSG(num_fixed == n,

@@ -101,93 +101,96 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
     return relaxed;
   };
 
-  for (;;) {
-    // --- Drain R.  Every frontier vertex is already fixed.  Each pass is
-    // one worklist sweep in the Algorithm 1 sense (stats.llp_sweeps).
-    while (!frontier.empty() && num_fixed < n) {
-      if (cancelled()) break;  // once per sweep
-      obs::PhaseTimer relax_span("relax");
-      ++r.stats.llp_sweeps;
-      const bool rounds_on = obs::kCompiledIn && obs::enabled();
-      const std::uint64_t step_t0 = rounds_on ? obs::now_us() : 0;
-      const std::size_t frontier_in = frontier.size();
-      const std::size_t fixed_in = num_fixed;
+  {
+    // One lap per super-step phase (Algorithm 5): drain R, flush Q, pop.
+    enum : std::size_t { kRelax, kHeapFlush, kHeapPop };
+    obs::PhaseLaps laps({"relax", "heap_flush", "heap_pop"});
+    for (;;) {
+      // --- Drain R.  Every frontier vertex is already fixed.  Each pass is
+      // one worklist sweep in the Algorithm 1 sense (stats.llp_sweeps).
+      while (!frontier.empty() && num_fixed < n) {
+        if (cancelled()) break;  // once per sweep
+        laps.enter(kRelax);
+        ++r.stats.llp_sweeps;
+        const bool rounds_on = obs::kCompiledIn && obs::enabled();
+        const std::uint64_t step_t0 = rounds_on ? obs::now_us() : 0;
+        const std::size_t frontier_in = frontier.size();
+        const std::size_t fixed_in = num_fixed;
 
-      if (narrow()) {
-        // Narrow R: the caller drains it LIFO, as llp_prim does.  Vertices
-        // it early-fixes go straight back onto the worklist — no team, no
-        // barrier — until R grows wide enough to hand to the team.
-        while (!frontier.empty() && num_fixed < n && narrow()) {
-          if (++pops % kCancelPollPops == 0) {
-            // Chaos hook beside the poll, so a scripted timeline can cancel
-            // (or fail) the run in the middle of one long drain.
-            if (LLPMST_FAILPOINT("llp_prim/drain") != fail::Action::kNone) {
-              r.stats.outcome = RunOutcome::kInjectedFault;
-              break;
-            }
-            if (cancelled()) break;
-          }
-          const VertexId j = frontier.back();
-          frontier.pop_back();
-          pending_arcs -= g.degree(j);
-          r.stats.edges_relaxed += relax(
-              j,
-              [&](VertexId k) {
-                ++num_fixed;
-                frontier.push_back(k);
-                pending_arcs += g.degree(k);
-              },
-              [&](VertexId k) { bag_q.push(0, k); });
-        }
-      } else {
-        // Wide R: one team sweep over the whole worklist; claim winners
-        // land in per-worker bags and form the next frontier.
-        parallel_for_worker(
-            pool, 0, frontier.size(),
-            [&](std::size_t idx, std::size_t w) {
-              const std::uint64_t relaxed = relax(
-                  frontier[idx], [&](VertexId k) { bag_r.push(w, k); },
-                  [&](VertexId k) { bag_q.push(w, k); });
-              if (relaxed != 0) {
-                team_relaxed.fetch_add(relaxed, std::memory_order_relaxed);
+        if (narrow()) {
+          // Narrow R: the caller drains it LIFO, as llp_prim does.  Vertices
+          // it early-fixes go straight back onto the worklist — no team, no
+          // barrier — until R grows wide enough to hand to the team.
+          while (!frontier.empty() && num_fixed < n && narrow()) {
+            if (++pops % kCancelPollPops == 0) {
+              // Chaos hook beside the poll, so a scripted timeline can cancel
+              // (or fail) the run in the middle of one long drain.
+              if (LLPMST_FAILPOINT("llp_prim/drain") != fail::Action::kNone) {
+                r.stats.outcome = RunOutcome::kInjectedFault;
+                break;
               }
-            },
-            std::clamp<std::size_t>(frontier.size() / (4 * workers), 1, 256));
-        frontier.clear();
-        bag_r.drain_into(frontier);
-        num_fixed += frontier.size();
-        pending_arcs = 0;
-        for (const VertexId k : frontier) pending_arcs += g.degree(k);
-      }
-      r.stats.fixed_via_mwe += num_fixed - fixed_in;
+              if (cancelled()) break;
+            }
+            const VertexId j = frontier.back();
+            frontier.pop_back();
+            pending_arcs -= g.degree(j);
+            r.stats.edges_relaxed += relax(
+                j,
+                [&](VertexId k) {
+                  ++num_fixed;
+                  frontier.push_back(k);
+                  pending_arcs += g.degree(k);
+                },
+                [&](VertexId k) { bag_q.push(0, k); });
+          }
+        } else {
+          // Wide R: one team sweep over the whole worklist; claim winners
+          // land in per-worker bags and form the next frontier.
+          parallel_for_worker(
+              pool, 0, frontier.size(),
+              [&](std::size_t idx, std::size_t w) {
+                const std::uint64_t relaxed = relax(
+                    frontier[idx], [&](VertexId k) { bag_r.push(w, k); },
+                    [&](VertexId k) { bag_q.push(w, k); });
+                if (relaxed != 0) {
+                  team_relaxed.fetch_add(relaxed, std::memory_order_relaxed);
+                }
+              },
+              std::clamp<std::size_t>(frontier.size() / (4 * workers), 1, 256));
+          frontier.clear();
+          bag_r.drain_into(frontier);
+          num_fixed += frontier.size();
+          pending_arcs = 0;
+          for (const VertexId k : frontier) pending_arcs += g.degree(k);
+        }
+        r.stats.fixed_via_mwe += num_fixed - fixed_in;
 
-      if (rounds_on) {
-        obs::RoundRecord round;
-        round.label = "llp_prim_parallel";
-        round.round = r.stats.llp_sweeps;
-        round.components = n - num_fixed;     // unfixed vertices remaining
-        round.edges = frontier_in;            // frontier entering the sweep
-        round.advances = num_fixed - fixed_in;  // newly fixed via MWE
-        round.wall_ms = static_cast<double>(obs::now_us() - step_t0) * 1e-3;
-        obs::record_round(std::move(round));
+        if (rounds_on) {
+          obs::RoundRecord round;
+          round.label = "llp_prim_parallel";
+          round.round = r.stats.llp_sweeps;
+          round.components = n - num_fixed;     // unfixed vertices remaining
+          round.edges = frontier_in;            // frontier entering the sweep
+          round.advances = num_fixed - fixed_in;  // newly fixed via MWE
+          round.wall_ms = static_cast<double>(obs::now_us() - step_t0) * 1e-3;
+          obs::record_round(std::move(round));
+        }
+        if (r.stats.outcome != RunOutcome::kOk) break;
       }
-      if (r.stats.outcome != RunOutcome::kOk) break;
-    }
-    // Section V-A early termination: all vertices fixed -> done, without
-    // the flush or the stale heap pops.
-    if (num_fixed == n || r.stats.outcome != RunOutcome::kOk) break;
+      // Section V-A early termination: all vertices fixed -> done, without
+      // the flush or the stale heap pops.
+      if (num_fixed == n || r.stats.outcome != RunOutcome::kOk) break;
 
-    // --- R drained: flush staged vertices into the heap (sequential — the
-    // paper's acknowledged bottleneck), then pop the next nearest vertex.
-    // Chaos hook at the bag→heap handoff: the single-threaded window where
-    // a sleep/yield maximally skews the parallel/sequential interleaving,
-    // and where an injected failure models the handoff going wrong.
-    if (LLPMST_FAILPOINT("llp_prim/handoff") != fail::Action::kNone) {
-      r.stats.outcome = RunOutcome::kInjectedFault;
-      break;
-    }
-    {
-      obs::PhaseTimer flush_span("heap_flush");
+      // --- R drained: flush staged vertices into the heap (sequential — the
+      // paper's acknowledged bottleneck), then pop the next nearest vertex.
+      // Chaos hook at the bag→heap handoff: the single-threaded window where
+      // a sleep/yield maximally skews the parallel/sequential interleaving,
+      // and where an injected failure models the handoff going wrong.
+      if (LLPMST_FAILPOINT("llp_prim/handoff") != fail::Action::kNone) {
+        r.stats.outcome = RunOutcome::kInjectedFault;
+        break;
+      }
+      laps.enter(kHeapFlush);
       staged.clear();
       bag_q.drain_into(staged);
       for (const VertexId k : staged) {
@@ -195,25 +198,25 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
         heap.insert_or_adjust(k, dist[k].load(std::memory_order_relaxed));
         ++r.stats.staged_in_q;
       }
-    }
 
-    bool advanced = false;
-    obs::PhaseTimer pop_span("heap_pop");
-    while (!heap.empty()) {
-      const auto [j, key] = heap.pop();
-      (void)key;
-      if (fixed[j].load(std::memory_order_relaxed)) continue;  // stale
-      fixed[j].store(1, std::memory_order_relaxed);
-      ++num_fixed;
-      ++r.stats.fixed_via_heap;
-      chosen_edge[j] =
-          priority_edge(dist[j].load(std::memory_order_relaxed));
-      frontier.push_back(j);
-      pending_arcs += g.degree(j);
-      advanced = true;
-      break;
+      laps.enter(kHeapPop);
+      bool advanced = false;
+      while (!heap.empty()) {
+        const auto [j, key] = heap.pop();
+        (void)key;
+        if (fixed[j].load(std::memory_order_relaxed)) continue;  // stale
+        fixed[j].store(1, std::memory_order_relaxed);
+        ++num_fixed;
+        ++r.stats.fixed_via_heap;
+        chosen_edge[j] =
+            priority_edge(dist[j].load(std::memory_order_relaxed));
+        frontier.push_back(j);
+        pending_arcs += g.degree(j);
+        advanced = true;
+        break;
+      }
+      if (!advanced) break;
     }
-    if (!advanced) break;
   }
 
   // On a clean run all vertices must have been fixed; an aborted run

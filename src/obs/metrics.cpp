@@ -44,14 +44,16 @@ void clear_warnings() {
   w.messages.clear();
 }
 
-std::uint64_t now_us() {
+std::uint64_t now_ns() {
   using Clock = std::chrono::steady_clock;
   static const Clock::time_point epoch = Clock::now();
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            epoch)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           epoch)
           .count());
 }
+
+std::uint64_t now_us() { return now_ns() / 1000; }
 
 std::string json_quote(std::string_view s) {
   std::string out;
@@ -115,6 +117,15 @@ Registry& registry() {
 }
 
 std::atomic<bool> g_enabled{false};
+
+void add_phase_totals(const std::string& path, std::uint64_t count,
+                      std::uint64_t total_us) {
+  Registry& r = registry();
+  std::lock_guard lock(r.phase_mu);
+  PhaseAgg& agg = r.phases[path];
+  agg.count += count;
+  agg.total_us += total_us;
+}
 
 // Per-thread stack of live PhaseTimer frames; phase_pop joins it into the
 // recorded path.  Fixed-capacity with an atomic depth so the profiler's
@@ -278,13 +289,7 @@ void phase_pop(std::uint64_t start_us) {
                    std::memory_order_relaxed);
   }
 
-  Registry& r = registry();
-  {
-    std::lock_guard lock(r.phase_mu);
-    PhaseAgg& agg = r.phases[path];
-    ++agg.count;
-    agg.total_us += dur_us;
-  }
+  add_phase_totals(path, 1, dur_us);
   if (trace_collecting()) trace_emit(path, start_us, dur_us);
 }
 
@@ -292,6 +297,22 @@ void phase_pop_fast() {
   PhaseStack& st = tls_phase_stack;
   st.depth.store(st.depth.load(std::memory_order_relaxed) - 1,
                  std::memory_order_relaxed);
+}
+
+void phase_rename_top(const char* name) {
+  // A pointer-sized store to a live frame: a SIGPROF handler that lands
+  // mid-update sees the old or the new literal, both valid.
+  PhaseStack& st = tls_phase_stack;
+  const std::uint32_t d = st.depth.load(std::memory_order_relaxed);
+  if (d != 0 && d <= kMaxPhaseDepth) st.frames[d - 1] = name;
+}
+
+void phase_fold(const char* name, std::uint64_t count,
+                std::uint64_t total_ns) {
+  std::string path = phase_path();
+  if (!path.empty()) path.push_back('/');
+  path += name;
+  add_phase_totals(path, count, total_ns / 1000);
 }
 
 }  // namespace detail

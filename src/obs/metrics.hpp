@@ -184,6 +184,9 @@ void clear_warnings();
 /// Microseconds since the process-wide observability epoch (first use);
 /// the time base for phase spans and trace events.
 [[nodiscard]] std::uint64_t now_us();
+/// Nanoseconds since the same epoch (now_us() == now_ns() / 1000): the lap
+/// clock of PhaseLaps, which sums sub-microsecond laps without rounding.
+[[nodiscard]] std::uint64_t now_ns();
 
 /// Escapes and double-quotes a string for JSON output ("ab\"c" -> "\"ab\\\"c\"").
 [[nodiscard]] std::string json_quote(std::string_view s);
@@ -199,6 +202,12 @@ void phase_pop(std::uint64_t start_us);
 /// stack-only mode (phase_stack_enabled() without enabled()): one relaxed
 /// store, so hot-loop scopes stay cheap while the profiler samples them.
 void phase_pop_fast();
+/// PhaseLaps support: rename the calling thread's top frame in place (the
+/// next lap's phase), and fold `count` laps summing `total_ns` into the
+/// aggregate for "<current path>/<name>" (truncated to whole microseconds).
+void phase_rename_top(const char* name);
+void phase_fold(const char* name, std::uint64_t count,
+                std::uint64_t total_ns);
 /// The '/'-joined path of the PhaseTimers live on the calling thread
 /// ("" outside any phase).  Used by ScopedHwCounters for attribution.
 [[nodiscard]] std::string phase_path();

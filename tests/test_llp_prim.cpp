@@ -3,6 +3,10 @@
 // parallel version.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "graph/algorithms/connected_components.hpp"
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/rmat.hpp"
@@ -14,6 +18,7 @@
 #include "mst/prim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/round_stats.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -232,6 +237,59 @@ TEST(LlpPrimParallelStats, RoundRecordsCountEveryEarlyFix) {
     advances += round.advances;
   }
   EXPECT_EQ(advances, r.stats.fixed_via_mwe);
+}
+
+TEST(LlpPrimPhaseLaps, BothEnginesFoldOneRelaxLapPerSweep) {
+  // Both engines time their super-steps as PhaseLaps: relax / heap_flush /
+  // heap_pop under the engine's own phase, one count per lap, folded once
+  // per run.  Timing must not change the answer.
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  const CsrGraph g = medium_connected_graph(7);
+  ThreadPool pool(4);
+  struct Engine {
+    std::string phase;
+    std::function<MstResult()> run;
+  };
+  const std::vector<Engine> engines = {
+      {"llp_prim", [&] { return llp_prim(g); }},
+      {"llp_prim_parallel", [&] {
+         RunContext ctx(pool);
+         return llp_prim_parallel(g, ctx);
+       }}};
+  for (const Engine& e : engines) {
+    SCOPED_TRACE(e.phase);
+    const MstResult off = e.run();
+    obs::reset_metrics();
+    obs::reset_rounds();
+    obs::set_enabled(true);
+    const MstResult on = e.run();
+    obs::set_enabled(false);
+    const std::vector<obs::PhaseSample> phases = obs::snapshot_phases();
+    const std::vector<obs::RoundRecord> rounds = obs::snapshot_rounds();
+    obs::reset_rounds();
+
+    EXPECT_EQ(on.edges, off.edges);
+    const auto find = [&](const std::string& name) -> const obs::PhaseSample* {
+      for (const obs::PhaseSample& p : phases) {
+        if (p.name == name) return &p;
+      }
+      return nullptr;
+    };
+    const obs::PhaseSample* algo = find(e.phase);
+    const obs::PhaseSample* relax = find(e.phase + "/relax");
+    const obs::PhaseSample* flush = find(e.phase + "/heap_flush");
+    const obs::PhaseSample* pop = find(e.phase + "/heap_pop");
+    ASSERT_NE(algo, nullptr);
+    ASSERT_NE(relax, nullptr);
+    ASSERT_NE(flush, nullptr);
+    ASSERT_NE(pop, nullptr);
+    EXPECT_EQ(relax->count, on.stats.llp_sweeps);
+    EXPECT_LE(relax->total_us + flush->total_us + pop->total_us,
+              algo->total_us);
+    if (e.phase == "llp_prim_parallel") {
+      EXPECT_EQ(rounds.size(), on.stats.llp_sweeps);
+    }
+  }
 }
 
 TEST(LlpPrimParallelStats, MweShareGrowsWithDensity) {

@@ -41,6 +41,7 @@ static_assert(obs::kCompiledIn == (LLPMST_OBS != 0));
 static_assert(std::is_empty_v<obs::Counter>);
 static_assert(std::is_empty_v<obs::Gauge>);
 static_assert(std::is_empty_v<obs::PhaseTimer>);
+static_assert(std::is_empty_v<obs::PhaseLaps<3>>);
 static_assert(std::is_empty_v<obs::ScopedHwCounters>);
 #endif
 
@@ -92,6 +93,26 @@ std::uint64_t find_counter(const std::vector<obs::MetricSample>& samples,
     if (s.name == name && !s.is_gauge) return s.value;
   }
   return 0;
+}
+
+/// Burns at least `ms` of this thread's CPU time (the profiler's timers
+/// count CPU time, not wall time) and returns a value derived from the
+/// work so the loop cannot be optimized away.
+double burn_cpu_ms(double ms) {
+  timespec t0{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+  double x = 1.0;
+  for (;;) {
+    for (int i = 0; i < 20000; ++i) x = x * 1.0000001 + 1e-9;
+    timespec t{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+    const double elapsed_ms =
+        (static_cast<double>(t.tv_sec) - static_cast<double>(t0.tv_sec)) *
+            1e3 +
+        (static_cast<double>(t.tv_nsec) - static_cast<double>(t0.tv_nsec)) *
+            1e-6;
+    if (elapsed_ms >= ms) return x;
+  }
 }
 
 const obs::PhaseSample* find_phase(
@@ -184,6 +205,113 @@ TEST(ObsPhaseTimer, DisabledAtRuntimeRecordsNothing) {
   }
   EXPECT_EQ(find_phase(obs::snapshot_phases(), "should_not_appear"),
             nullptr);
+}
+
+// --- PhaseLaps: contiguous laps folded once per object. ---------------
+
+TEST(ObsPhaseLaps, JoinPathsUnderTheEnclosingPhaseTimer) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  {
+    obs::PhaseTimer outer("laps_outer");
+    obs::PhaseLaps laps({"lap_a", "lap_b"});
+    laps.enter(0);
+    laps.enter(1);
+  }
+  obs::set_enabled(false);
+  const auto phases = obs::snapshot_phases();
+  EXPECT_NE(find_phase(phases, "laps_outer/lap_a"), nullptr);
+  EXPECT_NE(find_phase(phases, "laps_outer/lap_b"), nullptr);
+  EXPECT_EQ(find_phase(phases, "lap_a"), nullptr)
+      << "lap phase leaked out of its parent path";
+}
+
+TEST(ObsPhaseLaps, CountIsTheNumberOfEnterCalls) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  {
+    obs::PhaseTimer outer("laps_count");
+    obs::PhaseLaps laps({"a", "b", "never"});
+    for (int i = 0; i < 7; ++i) {
+      laps.enter(0);
+      laps.enter(1);
+      laps.enter(1);  // back-to-back laps of one phase count separately
+    }
+  }
+  obs::set_enabled(false);
+  const auto phases = obs::snapshot_phases();
+  const obs::PhaseSample* a = find_phase(phases, "laps_count/a");
+  const obs::PhaseSample* b = find_phase(phases, "laps_count/b");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->count, 7u);
+  EXPECT_EQ(b->count, 14u);
+  EXPECT_EQ(find_phase(phases, "laps_count/never"), nullptr)
+      << "a phase with no laps must not fold an empty entry";
+}
+
+TEST(ObsPhaseLaps, LapTotalsStayWithinTheEnclosingScope) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  double sink = 0.0;
+  {
+    obs::PhaseTimer outer("laps_total");
+    obs::PhaseLaps laps({"x", "y"});
+    for (int i = 0; i < 4; ++i) {
+      laps.enter(0);
+      sink += burn_cpu_ms(1.0);
+      laps.enter(1);
+      sink += burn_cpu_ms(0.5);
+    }
+  }
+  obs::set_enabled(false);
+  EXPECT_NE(sink, 0.0);
+  const auto phases = obs::snapshot_phases();
+  const obs::PhaseSample* outer = find_phase(phases, "laps_total");
+  const obs::PhaseSample* x = find_phase(phases, "laps_total/x");
+  const obs::PhaseSample* y = find_phase(phases, "laps_total/y");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(x, nullptr);
+  ASSERT_NE(y, nullptr);
+  EXPECT_GE(x->total_us, 4000u);
+  EXPECT_GE(y->total_us, 2000u);
+  EXPECT_LE(x->total_us + y->total_us, outer->total_us);
+}
+
+TEST(ObsPhaseLaps, SubMicrosecondLapsStillAddUp) {
+  // A PhaseTimer scope under 1 us folds as 0; laps sum nanoseconds and
+  // truncate once, so 20,000 clock-read-sized laps leave a non-zero total.
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  {
+    obs::PhaseLaps laps({"tiny_a", "tiny_b"});
+    for (int i = 0; i < 10000; ++i) {
+      laps.enter(0);
+      laps.enter(1);
+    }
+  }
+  obs::set_enabled(false);
+  const auto phases = obs::snapshot_phases();
+  const obs::PhaseSample* a = find_phase(phases, "tiny_a");
+  const obs::PhaseSample* b = find_phase(phases, "tiny_b");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_GT(a->total_us + b->total_us, 0u);
+}
+
+TEST(ObsPhaseLaps, DisabledAtRuntimeRecordsNothing) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::reset_metrics();
+  obs::set_enabled(false);
+  {
+    obs::PhaseLaps laps({"laps_should_not_appear"});
+    laps.enter(0);
+  }
+  EXPECT_TRUE(obs::snapshot_phases().empty());
 }
 
 TEST(ObsTrace, JsonIsWellFormedAndRoundTrips) {
@@ -745,26 +873,6 @@ TEST(ObsExposition, SchedulerSummaryShowsUpAfterCollection) {
 
 // --- The sampling profiler (the report's "profile" section). ----------
 
-/// Burns at least `ms` of this thread's CPU time (the profiler's timers
-/// count CPU time, not wall time) and returns a value derived from the
-/// work so the loop cannot be optimized away.
-double burn_cpu_ms(double ms) {
-  timespec t0{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
-  double x = 1.0;
-  for (;;) {
-    for (int i = 0; i < 20000; ++i) x = x * 1.0000001 + 1e-9;
-    timespec t{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
-    const double elapsed_ms =
-        (static_cast<double>(t.tv_sec) - static_cast<double>(t0.tv_sec)) *
-            1e3 +
-        (static_cast<double>(t.tv_nsec) - static_cast<double>(t0.tv_nsec)) *
-            1e-6;
-    if (elapsed_ms >= ms) return x;
-  }
-}
-
 TEST(ObsProfiler, UnstartedOrUnsupportedDegradesToExplicitUnavailable) {
   // Never started: the snapshot must carry the explicit degradation shape
   // in every flavour, and prof_start must refuse softly when unsupported.
@@ -858,6 +966,40 @@ TEST(ObsProfiler, AttributesSamplesToPhaseTimerPaths) {
   EXPECT_TRUE(hot_line) << folded;
 }
 
+TEST(ObsProfiler, AttributesSamplesToTheOpenLap) {
+  if (!obs::prof_supported()) {
+    GTEST_SKIP() << "sampling profiler unsupported here";
+  }
+  obs::set_phase_stack_enabled(true);
+  std::string why;
+  ASSERT_TRUE(obs::prof_start(997, &why)) << why;
+  double sink = 0.0;
+  {
+    obs::PhaseTimer outer("prof_laps");
+    obs::PhaseLaps laps({"lap_a", "lap_b"});
+    laps.enter(0);
+    sink += burn_cpu_ms(60.0);
+    laps.enter(1);
+    sink += burn_cpu_ms(60.0);
+  }
+  obs::prof_stop();
+  obs::set_phase_stack_enabled(false);
+  EXPECT_NE(sink, 0.0);
+
+  const obs::ProfSnapshot s = obs::prof_snapshot();
+  ASSERT_TRUE(s.available) << s.unavailable_reason;
+  ASSERT_GT(s.samples, 0u);
+  std::uint64_t lap_a = 0;
+  std::uint64_t lap_b = 0;
+  for (const obs::ProfPhaseCount& p : s.phases) {
+    if (p.name == "prof_laps/lap_a") lap_a += p.samples;
+    if (p.name == "prof_laps/lap_b") lap_b += p.samples;
+  }
+  EXPECT_GT(lap_a + lap_b, s.samples / 2)
+      << "samples did not attribute to the open lap";
+  EXPECT_GT(lap_b, 0u) << "enter() did not rewrite the top frame";
+}
+
 #if LLPMST_OBS
 // Preprocessor-gated (not GTEST_SKIP): detail::phase_stack() itself only
 // exists in the compiled-in flavour.
@@ -876,6 +1018,25 @@ TEST(ObsProfiler, StackOnlyModeSkipsTimingAggregates) {
   for (const obs::PhaseSample& p : obs::snapshot_phases()) {
     EXPECT_NE(p.name, "stack_only_phase");
   }
+}
+
+TEST(ObsPhaseLaps, StackOnlyModeRewritesTheFrameAndFoldsNothing) {
+  obs::reset_metrics();
+  obs::set_phase_stack_enabled(true);
+  {
+    obs::PhaseTimer outer("stack_only_laps");
+    obs::PhaseLaps laps({"first", "second"});
+    laps.enter(0);
+    EXPECT_EQ(obs::detail::phase_stack().depth.load(), 2u);
+    EXPECT_EQ(obs::detail::phase_path(), "stack_only_laps/first");
+    laps.enter(1);
+    EXPECT_EQ(obs::detail::phase_stack().depth.load(), 2u);
+    EXPECT_EQ(obs::detail::phase_path(), "stack_only_laps/second");
+  }
+  EXPECT_EQ(obs::detail::phase_stack().depth.load(), 0u);
+  obs::set_phase_stack_enabled(false);
+  EXPECT_TRUE(obs::snapshot_phases().empty())
+      << "stack-only laps must not fold into the aggregates";
 }
 #endif  // LLPMST_OBS
 

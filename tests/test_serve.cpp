@@ -17,6 +17,8 @@
 #include "core/run_context.hpp"
 #include "graph/io/binary_csr.hpp"
 #include "graph/storage.hpp"
+#include "obs/metrics.hpp"
+#include "obs/round_stats.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/catalog.hpp"
 #include "serve/json.hpp"
@@ -477,6 +479,42 @@ TEST(QueryService, InjectedFaultDegradesOneRequestNotTheService) {
   // one request, not the snapshot, the worker, or the process.
   EXPECT_EQ(request_status(sink.parsed(1)), "ok");
   service.shutdown();
+}
+
+TEST(QueryService, LlpPrimQueryFoldsOneRelaxLapPerSweep) {
+  // The daemon runs with obs on; a 1-thread auto query on a connected
+  // graph runs llp-prim, whose super-step phases fold once per run, so the
+  // response's relax count is the run's sweep count.
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.load("road", "road:16", 1).ok());
+  ServiceOptions options;
+  options.start_workers = false;
+  QueryService service(catalog, options);
+  Sink sink;
+
+  obs::reset_metrics();
+  obs::reset_rounds();
+  obs::set_enabled(true);
+  service.handle(R"({"op":"query","graph":"road","algo":"auto"})", 0,
+                 sink.fn());
+  EXPECT_EQ(service.drain_one(), 1u);
+  obs::set_enabled(false);
+  obs::reset_rounds();
+  ASSERT_EQ(sink.count(), 1u);
+
+  const Json report = sink.parsed(0);
+  ASSERT_EQ(request_status(report), "ok");
+  ASSERT_EQ(report.find("run")->get_string("algorithm", ""), "llp-prim");
+  const double sweeps =
+      report.find("algo")->find("llp")->get_number("sweeps", -1);
+  ASSERT_GT(sweeps, 0);
+  const Json* relax = nullptr;
+  for (const Json& p : report.find("phases")->as_array()) {
+    if (p.get_string("name", "") == "llp_prim/relax") relax = &p;
+  }
+  ASSERT_NE(relax, nullptr) << "no llp_prim/relax phase in the response";
+  EXPECT_EQ(relax->get_number("count", -1), sweeps);
 }
 
 TEST(QueryService, ControlOpsRoundTrip) {

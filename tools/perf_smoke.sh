@@ -110,4 +110,27 @@ else
   python3 "$TOOLS/check_report_schema.py" "$PROF_OUT"/*.bench.jsonl
   python3 "$TOOLS/bench_compare.py" "$BASELINE" "$PROF_OUT" \
     --threshold 0.03 --iqr-mult 3
+
+  # Obs-overhead A/B gate: the same fig3 smoke twice in this session, once
+  # plain and once with --metrics-json (which turns obs on: phase timers,
+  # round records), compared with each other rather than with the
+  # committed baseline, so machine drift cancels.  Bounds, from both sides
+  # of the PhaseLaps change measured twice each on a 4-vCPU VM (see
+  # docs/performance.md): llp-prim-parallel with obs on read +141..+163%
+  # and +20.7k allocs/rep with per-super-step PhaseTimers, and +19..+60%
+  # and +5.2k allocs/rep with PhaseLaps (one RoundRecord per sweep is
+  # left).  --threshold 1.0 and --alloc-floor 10000 sit between the two;
+  # the allocation counts repeat exactly, the timings do not.
+  OBS_OUT="$OUT-obs"
+  mkdir -p "$OBS_OUT"
+  echo "=== bench_fig3_scaling (obs off / obs on, overhead gate) ==="
+  "$BUILD/bench/bench_fig3_scaling" --road-side 128 --threads 1,2 --reps 9 \
+    --bench-json "$OBS_OUT/off.bench.jsonl" > "$OBS_OUT/off.txt"
+  "$BUILD/bench/bench_fig3_scaling" --road-side 128 --threads 1,2 --reps 9 \
+    --metrics-json "$OBS_OUT/on.report.json" \
+    --bench-json "$OBS_OUT/on.bench.jsonl" > "$OBS_OUT/on.txt"
+  python3 "$TOOLS/check_report_schema.py" "$OBS_OUT"/*.bench.jsonl
+  python3 "$TOOLS/bench_compare.py" "$OBS_OUT/off.bench.jsonl" \
+    "$OBS_OUT/on.bench.jsonl" --threshold 1.0 --iqr-mult 3 \
+    --alloc-floor 10000
 fi
