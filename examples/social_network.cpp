@@ -1,7 +1,7 @@
 // Social-network backbone example: on a scale-free (Kronecker/RMAT) graph —
 // the paper's graph500 workload family — compute the minimum spanning
 // FOREST with LLP-Boruvka.  Scale-free samples are naturally disconnected,
-// which is exactly the case LLP-Boruvka handles and the Prim family does
+// which is exactly the case LLP-Boruvka handles and parallel LLP-Prim does
 // not: the forest gives, per community, the cheapest backbone that keeps
 // everyone connected (think: minimum-latency overlay links to lease).
 //

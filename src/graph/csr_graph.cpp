@@ -113,10 +113,10 @@ CsrGraph CsrGraph::build(const EdgeList& list, Executor* pool) {
     // Sequential fill emits rows in ascending edge-id order, which for a
     // normalized list is ascending (u, v) but not ascending *priority*.
     // Sort rows by priority to match the parallel build bit-for-bit.
+    std::vector<std::pair<EdgePriority, VertexId>> row;  // reused per row
     for (std::size_t v = 0; v < n; ++v) {
       const std::size_t lo = offsets[v], hi = offsets[v + 1];
-      std::vector<std::pair<EdgePriority, VertexId>> row;
-      row.reserve(hi - lo);
+      row.clear();
       for (std::size_t i = lo; i < hi; ++i) {
         row.emplace_back(priorities[i], targets[i]);
       }

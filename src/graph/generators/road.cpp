@@ -54,6 +54,10 @@ EdgeList generate_road_network(const RoadParams& params) {
   };
 
   EdgeList list(static_cast<std::size_t>(n64));
+  // A hint, not a bound: the default street and diagonal rates stay under
+  // two edges per cell, so the list is not copied while it grows.  High
+  // rates can reach three per cell and grow past it as usual.
+  list.reserve(2 * static_cast<std::size_t>(n64));
   Xoshiro256 rng(params.seed);
 
   // Candidate streets with random drops; record dropped ones so the

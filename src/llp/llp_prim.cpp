@@ -2,15 +2,18 @@
 
 #include <vector>
 
+#include "core/run_context.hpp"
 #include "ds/binary_heap.hpp"
 #include "obs/hw_counters.hpp"
 #include "obs/phase_timer.hpp"
 #include "support/assert.hpp"
+#include "support/cancel.hpp"
+#include "support/failpoint.hpp"
 
 namespace llpmst {
 
 MstResult llp_prim(const CsrGraph& g, VertexId root,
-                   const LlpPrimOptions& options) {
+                   const LlpPrimOptions& options, const CancelToken* cancel) {
   const std::size_t n = g.num_vertices();
   LLPMST_CHECK_MSG(n >= 1, "LLP-Prim requires a non-empty graph");
   LLPMST_CHECK(root < n);
@@ -18,7 +21,6 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
   obs::PhaseTimer algo_span("llp_prim");
   obs::ScopedHwCounters hw_scope("llp_prim");
   MstResult r;
-  r.edges.reserve(n - 1);
   std::vector<EdgePriority> dist(n, kInfinitePriority);
   std::vector<EdgeId> parent_edge(n, kInvalidEdge);
   std::vector<std::uint8_t> fixed(n, 0);
@@ -30,6 +32,17 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
 
   std::size_t num_fixed = 1;
   std::size_t next_root = 0;  // forest-restart scan cursor
+  std::uint64_t pops = 0;     // R pops so far
+  // One R drain can fix most of a graph without returning to the
+  // per-super-step checkpoint, so it also polls every kCancelPollPops pops.
+  constexpr std::uint64_t kCancelPollPops = 1024;
+  // Cancellation poll.  Every fixed vertex's parent edge is a forest edge,
+  // so stopping leaves a partial forest — incomplete, never wrong.
+  const auto cancelled = [&] {
+    if (cancel == nullptr || !cancel->cancelled()) return false;
+    r.stats.outcome = cancel->reason();
+    return true;
+  };
   fixed[root] = 1;
   ++r.stats.fixed_via_heap;  // the root counts as the initial heap seed
   bag_r.push_back(root);
@@ -43,7 +56,7 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
       // chosen" (Section V-A) — once everything is fixed, the remaining R
       // members' arcs lead only to fixed vertices and the heap holds only
       // stale entries.
-      if (num_fixed == n) break;
+      if (num_fixed == n || cancelled()) break;
 
       // Drain R: vertices here are already fixed; explore their edges.  Order
       // within R is irrelevant (the LLP property) — we pop LIFO.  Each drain
@@ -51,6 +64,15 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
       if (!bag_r.empty()) ++r.stats.llp_sweeps;
       laps.enter(kRelax);
       while (!bag_r.empty() && num_fixed < n) {
+        if (++pops % kCancelPollPops == 0) {
+          // Chaos hook beside the poll, shared with llp_prim_parallel, so a
+          // test can stop the run in the middle of one long drain.
+          if (LLPMST_FAILPOINT("llp_prim/drain") != fail::Action::kNone) {
+            r.stats.outcome = RunOutcome::kInjectedFault;
+            break;
+          }
+          if (cancelled()) break;
+        }
         const VertexId j = bag_r.back();
         bag_r.pop_back();
 
@@ -71,7 +93,6 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
             ++num_fixed;
             ++r.stats.fixed_via_mwe;
             parent_edge[k] = priority_edge(p);
-            r.edges.push_back(parent_edge[k]);
             bag_r.push_back(k);
             continue;
           }
@@ -93,7 +114,7 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
 
       // Everything fixed during the drain: skip the flush and the stale heap
       // pops entirely (keeps the heap-op counters meaningful).
-      if (num_fixed == n) break;
+      if (num_fixed == n || r.stats.outcome != RunOutcome::kOk) break;
 
       // R drained: flush the staged heap updates.  Vertices fixed for free in
       // the meantime never touch the heap — that is the optimization.
@@ -117,7 +138,6 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
         fixed[j] = 1;
         ++num_fixed;
         ++r.stats.fixed_via_heap;
-        r.edges.push_back(parent_edge[j]);
         bag_r.push_back(j);
         advanced = true;
         break;
@@ -140,31 +160,41 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
     }
   }
 
-  LLPMST_CHECK_MSG(num_fixed == n,
+  // A stopped run legitimately leaves vertices unfixed.
+  LLPMST_CHECK_MSG(r.stats.outcome != RunOutcome::kOk || num_fixed == n,
                    "LLP-Prim requires a connected graph; use llp_prim_msf "
                    "or LLP-Boruvka for forests");
+  // Emit the parent edge of every fixed vertex; tree roots have none.  An
+  // unfixed vertex's parent edge is only tentative, so a partial run skips
+  // it.  finalize_result puts the ids in order.
+  r.edges.reserve(num_fixed);
+  for (VertexId v = 0; v < n; ++v) {
+    if (fixed[v] && parent_edge[v] != kInvalidEdge) {
+      r.edges.push_back(parent_edge[v]);
+    }
+  }
   r.stats.heap = heap.stats();
   record_algo_metrics("llp_prim", r.stats);
   finalize_result(g, r);
   return r;
 }
 
-MstResult llp_prim_msf(const CsrGraph& g) {
+MstResult llp_prim_msf(const CsrGraph& g, const CancelToken* cancel) {
   if (g.num_vertices() == 0) return {};  // empty graph: the empty forest
   LlpPrimOptions options;
   options.allow_forest = true;
-  return llp_prim(g, 0, options);
+  return llp_prim(g, 0, options, cancel);
 }
 
-MstResult llp_prim_msf(const CsrGraph& g, RunContext& /*ctx*/) {
-  return llp_prim_msf(g);
+MstResult llp_prim_msf(const CsrGraph& g, RunContext& ctx) {
+  return llp_prim_msf(g, ctx.cancel_token());
 }
 
 MstAlgorithm llp_prim_algorithm() {
   return {"llp-prim", "LLP-Prim (1T)",
           "Prim with early fixing + staged heap inserts (Algorithm 5)",
           {.parallel = false, .msf_capable = true, .deterministic = true,
-           .cancellable = false},
+           .cancellable = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return llp_prim_msf(g, ctx);
           }};

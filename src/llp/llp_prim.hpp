@@ -21,6 +21,7 @@
 
 namespace llpmst {
 
+class CancelToken;
 class RunContext;
 
 /// Ablation switches (both on = the paper's algorithm; both off = classic
@@ -35,13 +36,21 @@ struct LlpPrimOptions {
   bool allow_forest = false;
 };
 
+/// `cancel` (when set) is polled once per super-step and every 1024
+/// vertices of one R drain; a triggered token stops the run early with
+/// result.stats.outcome != kOk and a PARTIAL forest (the parent edges of
+/// the vertices fixed so far) — callers must check the outcome before
+/// trusting it (mst::auto does, and falls back).
 [[nodiscard]] MstResult llp_prim(const CsrGraph& g, VertexId root = 0,
-                                 const LlpPrimOptions& options = {});
+                                 const LlpPrimOptions& options = {},
+                                 const CancelToken* cancel = nullptr);
 
 /// Convenience wrapper: LLP-Prim with forest restarts enabled.
-[[nodiscard]] MstResult llp_prim_msf(const CsrGraph& g);
-/// Uniform registry entry point: forest-safe LLP-Prim (sequential; the
-/// context is unused).  This is what "llp-prim" dispatches to.
+[[nodiscard]] MstResult llp_prim_msf(const CsrGraph& g,
+                                     const CancelToken* cancel = nullptr);
+/// Uniform registry entry point: forest-safe LLP-Prim, sequential, polling
+/// ctx.cancel_token() (deadline and caller cancel).  This is what
+/// "llp-prim" dispatches to.
 [[nodiscard]] MstResult llp_prim_msf(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm llp_prim_algorithm();

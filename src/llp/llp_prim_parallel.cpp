@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <utility>
 #include <vector>
 
@@ -112,9 +111,6 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
         if (cancelled()) break;  // once per sweep
         laps.enter(kRelax);
         ++r.stats.llp_sweeps;
-        const bool rounds_on = obs::kCompiledIn && obs::enabled();
-        const std::uint64_t step_t0 = rounds_on ? obs::now_us() : 0;
-        const std::size_t frontier_in = frontier.size();
         const std::size_t fixed_in = num_fixed;
 
         if (narrow()) {
@@ -145,7 +141,11 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
           }
         } else {
           // Wide R: one team sweep over the whole worklist; claim winners
-          // land in per-worker bags and form the next frontier.
+          // land in per-worker bags and form the next frontier.  Only these
+          // sweeps have a frontier and an imbalance worth a RoundRecord.
+          const bool rounds_on = obs::kCompiledIn && obs::enabled();
+          const std::uint64_t step_t0 = rounds_on ? obs::now_us() : 0;
+          const std::size_t frontier_in = frontier.size();
           parallel_for_worker(
               pool, 0, frontier.size(),
               [&](std::size_t idx, std::size_t w) {
@@ -162,19 +162,19 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
           num_fixed += frontier.size();
           pending_arcs = 0;
           for (const VertexId k : frontier) pending_arcs += g.degree(k);
+          if (rounds_on) {
+            obs::RoundRecord round;
+            round.label = "llp_prim_parallel";
+            round.round = r.stats.llp_sweeps;
+            round.components = n - num_fixed;  // unfixed vertices remaining
+            round.edges = frontier_in;         // frontier entering the sweep
+            round.advances = num_fixed - fixed_in;  // newly fixed via MWE
+            round.wall_ms =
+                static_cast<double>(obs::now_us() - step_t0) * 1e-3;
+            obs::record_round(std::move(round));
+          }
         }
         r.stats.fixed_via_mwe += num_fixed - fixed_in;
-
-        if (rounds_on) {
-          obs::RoundRecord round;
-          round.label = "llp_prim_parallel";
-          round.round = r.stats.llp_sweeps;
-          round.components = n - num_fixed;     // unfixed vertices remaining
-          round.edges = frontier_in;            // frontier entering the sweep
-          round.advances = num_fixed - fixed_in;  // newly fixed via MWE
-          round.wall_ms = static_cast<double>(obs::now_us() - step_t0) * 1e-3;
-          obs::record_round(std::move(round));
-        }
         if (r.stats.outcome != RunOutcome::kOk) break;
       }
       // Section V-A early termination: all vertices fixed -> done, without
@@ -224,20 +224,12 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
   LLPMST_CHECK_MSG(r.stats.outcome != RunOutcome::kOk || num_fixed == n,
                    "LLP-Prim requires a connected graph; use LLP-Boruvka "
                    "for forests");
-  // Emit the tree edges of every fixed vertex (a partial forest when the
-  // run stopped early) in id order via a bitmap over edge ids: O(n + m/64)
-  // instead of sorting n ids, and finalize_result then skips its sort.
-  std::vector<std::uint64_t> tree_bits((g.num_edges() + 63) / 64, 0);
+  // Emit the tree edge of every fixed vertex but the root (a partial forest
+  // when the run stopped early); finalize_result puts them in id order.
+  r.edges.reserve(num_fixed - 1);
   for (VertexId v = 0; v < n; ++v) {
     if (v == root || !fixed[v].load(std::memory_order_relaxed)) continue;
-    const EdgeId e = chosen_edge[v];
-    tree_bits[e / 64] |= std::uint64_t{1} << (e % 64);
-  }
-  r.edges.reserve(num_fixed - 1);
-  for (std::size_t w = 0; w < tree_bits.size(); ++w) {
-    for (std::uint64_t bits = tree_bits[w]; bits != 0; bits &= bits - 1) {
-      r.edges.push_back(static_cast<EdgeId>(w * 64 + std::countr_zero(bits)));
-    }
+    r.edges.push_back(chosen_edge[v]);
   }
   r.stats.edges_relaxed += team_relaxed.load(std::memory_order_relaxed);
   r.stats.heap = heap.stats();

@@ -15,8 +15,11 @@
 //     sequential bottleneck the paper acknowledges, which is why LLP-Prim
 //     wins at low core counts and plateaus around 8 threads (Fig. 3).
 //
-// Each inline drain and each team sweep is one llp_sweeps and, with
-// observability on, one RoundRecord whose `advances` counts its early fixes.
+// Each inline drain and each team sweep is one llp_sweeps.  With
+// observability on, each team sweep also records one RoundRecord whose
+// `advances` counts its early fixes; inline drains record none (they have
+// no frontier or imbalance to report, and a record per drain would cost an
+// allocation and the round store's lock on every super-step).
 // The result is the same unique MST for every thread count.
 #pragma once
 

@@ -43,16 +43,18 @@ bool run_guarded(Run&& run, MstResult& result, std::string& reason) {
 
 /// The paper's preference order for the given shape, resolved against the
 /// registry and filtered by capability: a disconnected input discards every
-/// entry that cannot produce a forest.  Falls back to the Kruskal oracle if
-/// (in some trimmed build) no preferred entry is registered.
+/// entry that cannot produce a forest.  One thread picks LLP-Prim on every
+/// shape (it restarts per tree, so forests are fine).  Falls back to the
+/// Kruskal oracle if (in some trimmed build) no preferred entry is
+/// registered.
 const MstAlgorithm& select_algorithm(bool connected, std::size_t threads,
                                      const AutoMstOptions& options) {
   const char* preferred[3] = {nullptr, nullptr, nullptr};
-  if (!connected || threads >= options.boruvka_crossover) {
+  if (threads == 1) {
+    preferred[0] = "llp-prim";
+  } else if (!connected || threads >= options.boruvka_crossover) {
     preferred[0] = "llp-boruvka";
     preferred[1] = "parallel-boruvka";
-  } else if (threads == 1) {
-    preferred[0] = "llp-prim";
   } else {
     preferred[0] = "llp-prim-parallel";
     preferred[1] = "llp-boruvka";
@@ -86,9 +88,11 @@ AutoMstResult minimum_spanning_forest(const CsrGraph& g, RunContext& ctx,
       connected = false;
       break;
     case Connectivity::kUnknown:
-      // Cached per (context, graph): downstream verification through the
-      // same context reuses the answer instead of recomputing components.
-      connected = ctx.connected(g);
+      // One thread picks llp-prim on every shape, so only 2+ threads pay
+      // for the census.  Cached per (context, graph): downstream
+      // verification through the same context reuses the answer instead of
+      // recomputing components.
+      connected = ctx.threads() > 1 && ctx.connected(g);
       break;
   }
 

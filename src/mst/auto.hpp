@@ -3,10 +3,12 @@
 //
 // Section VII/VIII's findings, operationalized as a preference order over
 // the registry (mst/registry.hpp), capability-filtered per input:
-//   * 1 thread            -> LLP-Prim (1T) — fastest sequential (Fig. 2);
+//   * 1 thread, any graph -> LLP-Prim (1T) — fastest sequential (Fig. 2);
+//     it restarts from a fresh root per tree, so forests are fine;
 //   * few threads (< the crossover the paper places around 8) and a
 //     connected graph     -> parallel LLP-Prim (Fig. 3 left);
-//   * many threads, or a disconnected graph (the Prim family cannot run)
+//   * many threads, or a disconnected graph at 2+ threads (parallel
+//     LLP-Prim has no forest restarts)
 //                         -> LLP-Boruvka (Fig. 3 right / Fig. 4).
 //
 // The crossover is a tunable with the paper's observed default.  Deadline
@@ -24,7 +26,8 @@ namespace llpmst {
 class RunContext;
 
 /// Caller knowledge about the input's connectivity (kUnknown triggers a
-/// cached union-find check through RunContext::connected()).
+/// cached union-find check through RunContext::connected() at 2+ threads;
+/// one thread picks the same engine either way and skips it).
 enum class Connectivity { kUnknown, kConnected, kDisconnected };
 
 struct AutoMstOptions {

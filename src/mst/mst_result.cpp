@@ -1,25 +1,54 @@
 #include "mst/mst_result.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
 
 namespace llpmst {
 
-void finalize_result(const CsrGraph& g, MstResult& r) {
-  // Engines that emit ids in order (llp-prim-parallel) skip the sort; on
-  // unsorted output the check stops at the first descent.
-  if (!std::is_sorted(r.edges.begin(), r.edges.end())) {
-    std::sort(r.edges.begin(), r.edges.end());
+namespace {
+
+/// Puts `ids` in ascending order through an m-bit bitmap over edge ids:
+/// O(k + m/64) instead of a sort's O(k log k).  Every id is checked against
+/// m before it indexes the bitmap; a repeated id collapses into one bit and
+/// fails the debug check.
+void order_by_bitmap(std::vector<EdgeId>& ids, std::size_t m) {
+  std::vector<std::uint64_t> bits((m + 63) / 64, 0);
+  for (const EdgeId e : ids) {
+    LLPMST_CHECK(e < m);
+    bits[e / 64] |= std::uint64_t{1} << (e % 64);
   }
-  LLPMST_ASSERT(std::adjacent_find(r.edges.begin(), r.edges.end()) ==
-                r.edges.end());
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      ids[k++] = static_cast<EdgeId>(w * 64 + std::countr_zero(b));
+    }
+  }
+  LLPMST_ASSERT(k == ids.size());
+  ids.resize(k);
+}
+
+}  // namespace
+
+void finalize_result(const CsrGraph& g, MstResult& r) {
+  const std::size_t m = g.num_edges();
+  if (std::is_sorted(r.edges.begin(), r.edges.end())) {
+    // Engines that emit ids in order skip the bitmap: the last id is the
+    // largest, so one check keeps g.edge() below in bounds.
+    LLPMST_CHECK(r.edges.empty() || r.edges.back() < m);
+    LLPMST_ASSERT(std::adjacent_find(r.edges.begin(), r.edges.end()) ==
+                  r.edges.end());
+  } else {
+    order_by_bitmap(r.edges, m);
+  }
   r.total_weight = 0;
   r.weight_overflow = false;
   for (const EdgeId e : r.edges) {
-    LLPMST_ASSERT(e < g.num_edges());
     if (!checked_weight_add(r.total_weight, g.edge(e).w)) {
       r.weight_overflow = true;
     }

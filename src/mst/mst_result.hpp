@@ -72,8 +72,10 @@ struct MstResult {
 #endif
 }
 
-/// Sorts edge ids, sums weights (overflow-checked), and derives num_trees.
-/// Every algorithm calls this once at the end.
+/// Puts unsorted edge ids in ascending order through an m-bit bitmap, sums
+/// weights (overflow-checked), and derives num_trees.  An id >= m aborts
+/// (LLPMST_CHECK); a repeated id fails LLPMST_ASSERT.  Every algorithm
+/// calls this once at the end, in whatever order it found its edges.
 void finalize_result(const CsrGraph& g, MstResult& r);
 
 }  // namespace llpmst

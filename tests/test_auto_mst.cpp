@@ -49,7 +49,20 @@ TEST(AutoMst, ManyThreadsPickLlpBoruvka) {
   EXPECT_EQ(r.result.edges, kruskal(g).edges);
 }
 
-TEST(AutoMst, DisconnectedAlwaysPicksLlpBoruvka) {
+TEST(AutoMst, SingleThreadForestPicksLlpPrim) {
+  // One thread picks LLP-Prim on every shape: it restarts per tree.
+  ThreadPool pool(1);
+  RunContext ctx(pool);
+  const CsrGraph g = csr(make_forest(3, 50, 7));
+  const AutoMstResult r = minimum_spanning_forest(g, ctx);
+  EXPECT_EQ(r.algorithm, "llp-prim");
+  EXPECT_EQ(r.result.num_trees, 3u);
+  EXPECT_EQ(r.result.edges, kruskal(g).edges);
+}
+
+TEST(AutoMst, MultiThreadDisconnectedPicksLlpBoruvka) {
+  // Parallel LLP-Prim is tree-only, so from 2 threads up a forest goes to
+  // LLP-Boruvka.
   ThreadPool pool(2);
   RunContext ctx(pool);
   const CsrGraph g = csr(make_forest(3, 50, 7));
@@ -104,6 +117,16 @@ TEST(AutoMst, ConnectivityAnswerIsCachedOnTheContext) {
   EXPECT_TRUE(ctx.components_cached(g));
   EXPECT_EQ(ctx.num_components(g), 1u);
   EXPECT_EQ(r.result.num_trees, 1u);
+}
+
+TEST(AutoMst, SingleThreadSkipsTheConnectivityCensus) {
+  // At one thread the pick does not depend on connectivity.
+  ThreadPool pool(1);
+  RunContext ctx(pool);
+  const CsrGraph g = csr(make_forest(3, 50, 7));
+  const AutoMstResult r = minimum_spanning_forest(g, ctx);
+  EXPECT_EQ(r.algorithm, "llp-prim");
+  EXPECT_FALSE(ctx.components_cached(g));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // parallel version.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/round_stats.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/cancel.hpp"
+#include "support/failpoint.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -136,6 +139,58 @@ TEST(LlpPrimForest, EdgelessGraph) {
   EXPECT_EQ(r.num_trees, 5u);
 }
 
+/// True when every id of `part` is in `whole` (both sorted ascending).
+bool is_sub_forest(const MstResult& part, const MstResult& whole) {
+  return std::includes(whole.edges.begin(), whole.edges.end(),
+                       part.edges.begin(), part.edges.end());
+}
+
+TEST(LlpPrimCancel, PreCancelledTokenStopsBeforeTheFirstSuperStep) {
+  // A forest, so a run that ignored the token would restart per tree and
+  // finish; a stopped run returns the root's empty forest without tripping
+  // the connected-graph check.
+  const CsrGraph g = csr(make_forest(4, 60, 11));
+  CancelToken token;
+  token.cancel();
+  const MstResult r = llp_prim_msf(g, &token);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
+  EXPECT_TRUE(r.edges.empty());
+  EXPECT_EQ(r.stats.llp_sweeps, 0u);
+}
+
+TEST(LlpPrimCancel, ExpiredDeadlineLeavesAPartialForestOfMstEdges) {
+  // 65,536 vertices cannot be solved in 0.2 ms, so a poll sees the
+  // deadline; what was fixed by then is a subset of the unique MSF.
+  RoadParams p;
+  p.width = 256;
+  p.height = 256;
+  const CsrGraph g = csr(generate_road_network(p));
+  const MstResult reference = kruskal(g);
+  RunContext ctx;
+  ctx.set_deadline_ms(0.2);
+  const MstResult r = mst_algorithm("llp-prim").run(g, ctx);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kDeadlineExceeded);
+  EXPECT_LT(r.edges.size(), reference.edges.size());
+  EXPECT_TRUE(is_sub_forest(r, reference));
+}
+
+TEST(LlpPrimCancel, DrainFailpointStopsInsideOneLongDrain) {
+  // Equal weights on a path make every edge the MWE of its higher end, so
+  // one R drain from vertex 0 fixes the whole path; only the every-1024-
+  // pops poll inside the drain can stop it.
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  const CsrGraph g = csr(make_path(5000, 1));
+  const MstResult full = llp_prim(g);
+  ASSERT_EQ(full.stats.llp_sweeps, 1u);
+  ASSERT_TRUE(fail::arm("llp_prim/drain", "return"));
+  const MstResult r = llp_prim_msf(g);
+  fail::disarm_all();
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kInjectedFault);
+  EXPECT_GT(r.edges.size(), 0u);
+  EXPECT_LT(r.edges.size(), full.edges.size());
+  EXPECT_TRUE(is_sub_forest(r, full));
+}
+
 class LlpPrimParallel : public testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Threads, LlpPrimParallel,
                          testing::Values(1, 2, 4, 8));
@@ -216,27 +271,35 @@ TEST(LlpPrimParallelStats, InlineDrainsCountLikeSequentialLlpPrim) {
   EXPECT_EQ(par.stats.edges_relaxed, seq.stats.edges_relaxed);
 }
 
-TEST(LlpPrimParallelStats, RoundRecordsCountEveryEarlyFix) {
-  // One RoundRecord per sweep, inline or team; `advances` counts the
-  // vertices each one early-fixed, so they add up to fixed_via_mwe.
+TEST(LlpPrimParallelStats, OnlyTeamSweepsRecordRounds) {
+  // One RoundRecord per team sweep and none per inline drain; `advances`
+  // counts every vertex a team sweep early-fixed.  The plain grid never
+  // reaches the team, so it records nothing; the hub's wide R does.
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   const HubPair graphs = hub_pair(6);
   ThreadPool pool(4);
   RunContext ctx(pool);
   obs::reset_rounds();
   obs::set_enabled(true);
+  const MstResult plain = llp_prim_parallel(graphs.plain, ctx);
+  const std::size_t plain_rounds = obs::snapshot_rounds().size();
   const MstResult r = llp_prim_parallel(graphs.hubbed, ctx);
   obs::set_enabled(false);
   const std::vector<obs::RoundRecord> rounds = obs::snapshot_rounds();
   obs::reset_rounds();
+  ASSERT_EQ(plain.edges, kruskal(graphs.plain).edges);
   ASSERT_EQ(r.edges, kruskal(graphs.hubbed).edges);
-  ASSERT_EQ(rounds.size(), r.stats.llp_sweeps);
+  EXPECT_EQ(plain_rounds, 0u);
+  ASSERT_GT(rounds.size(), 0u);
+  EXPECT_LT(rounds.size(), r.stats.llp_sweeps);
   std::uint64_t advances = 0;
   for (const obs::RoundRecord& round : rounds) {
     EXPECT_EQ(round.label, "llp_prim_parallel");
+    EXPECT_GT(round.edges, 0u);  // the frontier the team swept
     advances += round.advances;
   }
-  EXPECT_EQ(advances, r.stats.fixed_via_mwe);
+  EXPECT_GT(advances, 0u);
+  EXPECT_LE(advances, r.stats.fixed_via_mwe);
 }
 
 TEST(LlpPrimPhaseLaps, BothEnginesFoldOneRelaxLapPerSweep) {
@@ -286,9 +349,9 @@ TEST(LlpPrimPhaseLaps, BothEnginesFoldOneRelaxLapPerSweep) {
     EXPECT_EQ(relax->count, on.stats.llp_sweeps);
     EXPECT_LE(relax->total_us + flush->total_us + pop->total_us,
               algo->total_us);
-    if (e.phase == "llp_prim_parallel") {
-      EXPECT_EQ(rounds.size(), on.stats.llp_sweeps);
-    }
+    // A road grid never reaches the team: its inline drains record no
+    // rounds, and llp_prim records none at all.
+    EXPECT_TRUE(rounds.empty());
   }
 }
 

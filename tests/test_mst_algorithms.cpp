@@ -2,7 +2,10 @@
 // paper's Fig. 1 worked example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "graph/generators/special.hpp"
 #include "llp/llp_boruvka.hpp"
@@ -186,6 +189,69 @@ TEST(MstAlgorithms, LazyHeapPrimCountsMoreHeapTraffic) {
   EXPECT_GE(lazy.stats.heap.pushes, eager.stats.heap.pushes);
   EXPECT_GE(lazy.stats.heap.pops, eager.stats.heap.pops);
   EXPECT_EQ(eager.stats.heap.pushes, 40u);  // indexed: one push per vertex
+}
+
+// finalize_result orders unsorted ids through an m-bit bitmap and leaves
+// ids already in order as they are.  K128 (m = 8128) fills 127 bitmap
+// words, so an id of m would write one word past the end.
+struct FinalizeCase {
+  CsrGraph g;
+  std::vector<EdgeId> sorted_ids;  // its MST, ascending
+};
+
+FinalizeCase finalize_case() {
+  FinalizeCase c{csr(make_complete(128, 5)), {}};
+  c.sorted_ids = kruskal(c.g).edges;
+  return c;
+}
+
+MstResult finalized(const CsrGraph& g, std::vector<EdgeId> ids) {
+  MstResult r;
+  r.edges = std::move(ids);
+  finalize_result(g, r);
+  return r;
+}
+
+TEST(FinalizeResult, ShuffledAndReversedIdsComeOutSorted) {
+  const FinalizeCase c = finalize_case();
+  const std::vector<EdgeId>& sorted = c.sorted_ids;
+  TotalWeight total = 0;
+  for (const EdgeId e : sorted) total += c.g.edge(e).w;
+  const std::vector<EdgeId> reversed(sorted.rbegin(), sorted.rend());
+  std::vector<EdgeId> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(17));
+  for (const std::vector<EdgeId>& ids : {sorted, reversed, shuffled}) {
+    const MstResult r = finalized(c.g, ids);
+    EXPECT_EQ(r.edges, sorted);
+    EXPECT_EQ(r.total_weight, total);
+    EXPECT_EQ(r.num_trees, c.g.num_vertices() - sorted.size());
+  }
+}
+
+TEST(FinalizeResultDeathTest, IdPastTheEdgeArrayAborts) {
+  // Fails loudly instead of writing past the bitmap or reading past the
+  // edge array — in Release builds too.
+  const FinalizeCase c = finalize_case();
+  const EdgeId past = static_cast<EdgeId>(c.g.num_edges());
+  std::vector<EdgeId> unsorted(c.sorted_ids.rbegin(), c.sorted_ids.rend());
+  unsorted.insert(unsorted.begin() + 1, past);
+  EXPECT_DEATH((void)finalized(c.g, unsorted), "LLPMST_CHECK");
+  std::vector<EdgeId> in_order = c.sorted_ids;
+  in_order.push_back(past);
+  EXPECT_DEATH((void)finalized(c.g, in_order), "LLPMST_CHECK");
+}
+
+TEST(FinalizeResultDeathTest, RepeatedIdFailsTheDebugCheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "LLPMST_ASSERT is compiled out in NDEBUG builds";
+#endif
+  const FinalizeCase c = finalize_case();
+  std::vector<EdgeId> unsorted(c.sorted_ids.rbegin(), c.sorted_ids.rend());
+  unsorted.push_back(unsorted.front());
+  EXPECT_DEATH((void)finalized(c.g, unsorted), "LLPMST_ASSERT");
+  std::vector<EdgeId> in_order = c.sorted_ids;
+  in_order.push_back(in_order.back());
+  EXPECT_DEATH((void)finalized(c.g, in_order), "LLPMST_ASSERT");
 }
 
 }  // namespace

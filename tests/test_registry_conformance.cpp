@@ -138,6 +138,7 @@ TEST(RegistryInvariants, CapabilityFlagsMatchKnownEntries) {
   EXPECT_TRUE(mst_algorithm("llp-boruvka").caps.cancellable);
   EXPECT_TRUE(mst_algorithm("parallel-boruvka").caps.cancellable);
   EXPECT_FALSE(mst_algorithm("llp-prim").caps.parallel);
+  EXPECT_TRUE(mst_algorithm("llp-prim").caps.cancellable);
   EXPECT_TRUE(mst_algorithm("llp-prim-parallel").caps.parallel);
   EXPECT_FALSE(mst_algorithm("llp-prim-parallel").caps.msf_capable);
 }

@@ -362,28 +362,84 @@ TEST(QueryService, SameSnapshotQueriesBatchUpToCap) {
 
 TEST(QueryService, BudgetExpiryFallsBackToKruskalInReport) {
   GraphCatalog catalog;
-  ASSERT_TRUE(catalog.load("g", "road:48", 1).ok());
+  ASSERT_TRUE(catalog.load("road", "road:48", 1).ok());
+  ASSERT_TRUE(
+      catalog.load("forest", "scenario:forest-many-components", 1).ok());
   ServiceOptions options;
   options.start_workers = false;
   QueryService service(catalog, options);
   Sink sink;
 
-  // A microscopic budget: the portfolio's parallel attempt expires and the
-  // sequential Kruskal fallback produces the result — the report must say
-  // both (fallback_reason) and still be an "ok" response.  A 2-thread pool
-  // steers auto to the cancellable parallel attempt (1 thread would pick
-  // the sequential, non-cancellable llp-prim, which cannot trip a budget).
-  ThreadPool pool(2);
+  // A microscopic budget at the daemon's default one thread: auto picks
+  // llp-prim on both shapes, its run expires at a cancellation poll, and
+  // the sequential Kruskal fallback produces the result — the report must
+  // say both (fallback_reason) and still be an "ok" response.  The road
+  // (2,304 vertices) cannot be solved inside 10 us, so its budget expires
+  // mid-run; the 1,536-vertex forest might be, so a 2 ms pre-run pause
+  // spends its budget before the solve starts.
+  ThreadPool pool(1);
   service.handle(
-      R"({"op":"query","graph":"g","algo":"auto","budget_ms":0.01})", 0,
+      R"({"op":"query","graph":"road","algo":"auto","budget_ms":0.01})", 0,
       sink.fn());
+  service.handle(R"({"op":"query","graph":"forest","algo":"auto",)"
+                 R"("budget_ms":0.01,"pause_ms":2})",
+                 0, sink.fn());
   ASSERT_EQ(service.drain_one(&pool), 1u);
-  const Json doc = sink.parsed(0);
-  EXPECT_EQ(request_status(doc), "ok");
-  const Json* run = doc.find("run");
-  ASSERT_NE(run, nullptr);
-  EXPECT_EQ(run->get_string("algorithm", ""), "kruskal");
-  EXPECT_EQ(run->get_string("fallback_reason", ""), "deadline_exceeded");
+  ASSERT_EQ(service.drain_one(&pool), 1u);
+  ASSERT_EQ(sink.count(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Json doc = sink.parsed(i);
+    SCOPED_TRACE(doc.find("request")->get_string("graph", ""));
+    EXPECT_EQ(request_status(doc), "ok");
+    const Json* run = doc.find("run");
+    ASSERT_NE(run, nullptr);
+    EXPECT_EQ(run->get_string("algorithm", ""), "kruskal");
+    EXPECT_EQ(run->get_string("fallback_reason", ""), "deadline_exceeded");
+  }
+  service.shutdown();
+}
+
+TEST(QueryService, OneThreadForestResponsesDoNotGrow) {
+  // At one thread auto runs llp-prim on a forest too, which records no
+  // rounds, so the process-wide round store a response embeds stays put
+  // and query 50's response is the size of query 1's.
+  GraphCatalog catalog;
+  ASSERT_TRUE(
+      catalog.load("forest", "scenario:forest-many-components", 1).ok());
+  ServiceOptions options;
+  options.start_workers = false;
+  QueryService service(catalog, options);
+  Sink sink;
+
+  obs::reset_metrics();
+  obs::reset_rounds();
+  obs::set_enabled(true);
+  ThreadPool pool(1);
+  constexpr std::size_t kQueries = 50;
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    service.handle(
+        R"({"op":"query","graph":"forest","algo":"auto","verify":true})", 0,
+        sink.fn());
+    ASSERT_EQ(service.drain_one(&pool), 1u);
+  }
+  obs::set_enabled(false);
+  obs::reset_rounds();
+  ASSERT_EQ(sink.count(), kQueries);
+  for (const std::size_t i : {std::size_t{0}, kQueries - 1}) {
+    const Json doc = sink.parsed(i);
+    EXPECT_EQ(request_status(doc), "ok");
+    EXPECT_EQ(doc.find("run")->get_string("algorithm", ""), "llp-prim");
+    EXPECT_TRUE(doc.find("request")->get_bool("verified", false));
+  }
+  std::size_t first = 0;
+  std::size_t last = 0;
+  {
+    std::lock_guard lock(sink.mutex);
+    first = sink.lines.front().size();
+    last = sink.lines.back().size();
+  }
+  EXPECT_LE(static_cast<double>(last), 1.1 * static_cast<double>(first))
+      << "first " << first << " B, last " << last << " B";
   service.shutdown();
 }
 

@@ -114,13 +114,16 @@ else
   # Obs-overhead A/B gate: the same fig3 smoke twice in this session, once
   # plain and once with --metrics-json (which turns obs on: phase timers,
   # round records), compared with each other rather than with the
-  # committed baseline, so machine drift cancels.  Bounds, from both sides
-  # of the PhaseLaps change measured twice each on a 4-vCPU VM (see
-  # docs/performance.md): llp-prim-parallel with obs on read +141..+163%
-  # and +20.7k allocs/rep with per-super-step PhaseTimers, and +19..+60%
-  # and +5.2k allocs/rep with PhaseLaps (one RoundRecord per sweep is
-  # left).  --threshold 1.0 and --alloc-floor 10000 sit between the two;
-  # the allocation counts repeat exactly, the timings do not.
+  # committed baseline, so machine drift cancels.  Bounds, measured twice
+  # on each side of two changes on a 4-vCPU VM (see docs/performance.md):
+  # llp-prim-parallel with obs on read +141..+163% time and +20.7k
+  # allocs/rep with per-super-step PhaseTimers, +19..+74% and +5.2k with
+  # PhaseLaps and one RoundRecord per sweep, and +16..+67% and +4 with a
+  # RoundRecord per team sweep only.  The largest obs-on allocation
+  # increase left is parallel-boruvka's +65/rep.  --threshold 1.0 sits
+  # above every obs-on timing; --alloc-floor 256 sits 4x above the
+  # largest allocation increase and 20x below a per-sweep allocation.
+  # The allocation counts repeat exactly, the timings do not.
   OBS_OUT="$OUT-obs"
   mkdir -p "$OBS_OUT"
   echo "=== bench_fig3_scaling (obs off / obs on, overhead gate) ==="
@@ -132,5 +135,5 @@ else
   python3 "$TOOLS/check_report_schema.py" "$OBS_OUT"/*.bench.jsonl
   python3 "$TOOLS/bench_compare.py" "$OBS_OUT/off.bench.jsonl" \
     "$OBS_OUT/on.bench.jsonl" --threshold 1.0 --iqr-mult 3 \
-    --alloc-floor 10000
+    --alloc-floor 256
 fi
