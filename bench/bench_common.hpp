@@ -17,6 +17,7 @@
 #include "bench_util/table.hpp"
 #include "graph/algorithms/degree_stats.hpp"
 #include "graph/csr_graph.hpp"
+#include "graph/generators/random_graph.hpp"
 #include "graph/generators/rmat.hpp"
 #include "graph/generators/road.hpp"
 #include "mst/kruskal.hpp"
@@ -48,17 +49,38 @@ inline Workload make_road_workload(std::uint32_t side,
 }
 
 /// Synthetic stand-in for graph500-sNN-ef16, connected for Prim-family use.
+/// A smaller edge factor keeps the Graph500 shape at a lower m/n.
 inline Workload make_graph500_workload(int scale, std::uint64_t seed = 1,
-                                       bool connect = true) {
+                                       bool connect = true,
+                                       int edge_factor = 16) {
   RmatParams p;
   p.scale = scale;
-  p.edge_factor = 16;
+  p.edge_factor = edge_factor;
   p.seed = seed;
   EdgeList list = generate_rmat(p);
   if (connect) connect_components(list);
   Workload w;
   w.name = "Graph500 s" + std::to_string(scale);
+  if (edge_factor != 16) w.name += " ef" + std::to_string(edge_factor);
   w.type = "scalefree";
+  w.graph = CsrGraph::build(list);
+  return w;
+}
+
+/// Random geometric graph: 2^scale points in the unit square, each joined
+/// to its `neighbors` nearest, patched connected.  Local like a road
+/// network, with a density set by `neighbors`.
+inline Workload make_knn_workload(int scale, std::uint32_t neighbors,
+                                  std::uint64_t seed = 1) {
+  GeometricParams p;
+  p.num_vertices = 1u << scale;
+  p.neighbors = neighbors;
+  p.seed = seed;
+  EdgeList list = generate_geometric(p);
+  connect_components(list, seed);
+  Workload w;
+  w.name = "kNN s" + std::to_string(scale) + " k" + std::to_string(neighbors);
+  w.type = "geometric";
   w.graph = CsrGraph::build(list);
   return w;
 }
@@ -80,7 +102,9 @@ inline Workload make_scenario_workload(const Scenario& s,
 /// Resolves a `--workload` spec:
 ///   "scenario:NAME"  — a registry scenario's generator at bench seed;
 ///   "road:SIDE"      — the side x side grid road network;
-///   "rmat:SCALE"     — the connected Graph500-style R-MAT.
+///   "rmat:SCALE[:EF]" — the connected Graph500-style R-MAT, edge factor
+///                      EF (default 16);
+///   "knn:SCALE:K"    — the connected random geometric K-nearest graph.
 /// Returns false with a message in *error (including the known scenario
 /// names on a typo) instead of exiting, so benches can report through
 /// their own CLI error path.
@@ -112,17 +136,34 @@ inline bool make_workload_spec(const std::string& spec, std::uint64_t seed,
     return true;
   }
   if (kind == "rmat") {
-    const long scale = std::strtol(arg.c_str(), nullptr, 10);
-    if (scale <= 0) {
-      if (error != nullptr) *error = "bad rmat scale '" + arg + "'";
+    char* rest = nullptr;
+    const long scale = std::strtol(arg.c_str(), &rest, 10);
+    long edge_factor = 16;
+    if (*rest == ':') edge_factor = std::strtol(rest + 1, &rest, 10);
+    if (scale <= 0 || edge_factor <= 0 || *rest != '\0') {
+      if (error != nullptr) *error = "bad rmat spec '" + arg + "'";
       return false;
     }
-    *out = make_graph500_workload(static_cast<int>(scale), seed);
+    *out = make_graph500_workload(static_cast<int>(scale), seed, true,
+                                  static_cast<int>(edge_factor));
+    return true;
+  }
+  if (kind == "knn") {
+    char* rest = nullptr;
+    const long scale = std::strtol(arg.c_str(), &rest, 10);
+    const long k = *rest == ':' ? std::strtol(rest + 1, &rest, 10) : 0;
+    if (scale <= 0 || scale > 30 || k <= 0 || *rest != '\0') {
+      if (error != nullptr) *error = "bad knn spec '" + arg + "'";
+      return false;
+    }
+    *out = make_knn_workload(static_cast<int>(scale),
+                             static_cast<std::uint32_t>(k), seed);
     return true;
   }
   if (error != nullptr) {
     *error = "unknown workload spec '" + spec +
-             "' (expected scenario:NAME, road:SIDE, or rmat:SCALE)";
+             "' (expected scenario:NAME, road:SIDE, rmat:SCALE[:EF], or "
+             "knn:SCALE:K)";
   }
   return false;
 }

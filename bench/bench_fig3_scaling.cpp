@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   auto& workload_spec = cli.add_string(
       "workload", "",
       "workload override: scenario:NAME (the src/scenario/ registry), "
-      "road:SIDE, or rmat:SCALE; default is road:<--road-side>");
+      "road:SIDE, rmat:SCALE[:EDGE_FACTOR], or knn:SCALE:K; default is "
+      "road:<--road-side>");
   auto& threads_flag =
       cli.add_string("threads", "1,2,4,8,16,32", "thread counts to sweep");
   auto& reps = cli.add_int("reps", 3, "timed repetitions");

@@ -47,12 +47,13 @@ bool run_guarded(Run&& run, MstResult& result, std::string& reason) {
 /// shape (it restarts per tree, so forests are fine).  Falls back to the
 /// Kruskal oracle if (in some trimmed build) no preferred entry is
 /// registered.
-const MstAlgorithm& select_algorithm(bool connected, std::size_t threads,
+const MstAlgorithm& select_algorithm(bool sparse, bool connected,
+                                     std::size_t threads,
                                      const AutoMstOptions& options) {
   const char* preferred[3] = {nullptr, nullptr, nullptr};
   if (threads == 1) {
     preferred[0] = "llp-prim";
-  } else if (!connected || threads >= options.boruvka_crossover) {
+  } else if (sparse || !connected || threads >= options.boruvka_crossover) {
     preferred[0] = "llp-boruvka";
     preferred[1] = "parallel-boruvka";
   } else {
@@ -79,6 +80,9 @@ AutoMstResult minimum_spanning_forest(const CsrGraph& g, RunContext& ctx,
     return out;
   }
 
+  const std::size_t threads = ctx.threads();
+  const bool sparse =
+      g.num_edges() < kSparseEdgesPerVertex * g.num_vertices();
   bool connected = false;
   switch (options.connectivity) {
     case Connectivity::kConnected:
@@ -88,16 +92,17 @@ AutoMstResult minimum_spanning_forest(const CsrGraph& g, RunContext& ctx,
       connected = false;
       break;
     case Connectivity::kUnknown:
-      // One thread picks llp-prim on every shape, so only 2+ threads pay
-      // for the census.  Cached per (context, graph): downstream
-      // verification through the same context reuses the answer instead of
-      // recomputing components.
-      connected = ctx.threads() > 1 && ctx.connected(g);
+      // One thread picks llp-prim on every shape and 2+ threads pick
+      // llp-boruvka on every sparse graph, so only dense graphs at 2+
+      // threads pay for the census.  Cached per (context, graph):
+      // downstream verification through the same context reuses the answer
+      // instead of recomputing components.
+      connected = threads > 1 && !sparse && ctx.connected(g);
       break;
   }
 
   const MstAlgorithm& algo =
-      select_algorithm(connected, ctx.threads(), options);
+      select_algorithm(sparse, connected, threads, options);
   out.algorithm = algo.name;
   std::string reason;
   bool ok =

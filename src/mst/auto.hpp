@@ -5,16 +5,21 @@
 // the registry (mst/registry.hpp), capability-filtered per input:
 //   * 1 thread, any graph -> LLP-Prim (1T) — fastest sequential (Fig. 2);
 //     it restarts from a fresh root per tree, so forests are fine;
-//   * few threads (< the crossover the paper places around 8) and a
-//     connected graph     -> parallel LLP-Prim (Fig. 3 left);
-//   * many threads, or a disconnected graph at 2+ threads (parallel
+//   * 2+ threads and a sparse graph (m < 4n; road networks sit near 2n)
+//                         -> LLP-Boruvka (Fig. 3/4: the Boruvka family wins
+//     on sparse graphs), chosen before any connectivity census;
+//   * few threads (< the crossover the paper places around 8) and a dense
+//     connected graph     -> parallel LLP-Prim (Fig. 4, graph500 at low
+//     core counts);
+//   * many threads, or a dense disconnected graph at 2+ threads (parallel
 //     LLP-Prim has no forest restarts)
 //                         -> LLP-Boruvka (Fig. 3 right / Fig. 4).
 //
-// The crossover is a tunable with the paper's observed default.  Deadline
-// and external cancellation come from the RunContext (set_deadline_ms /
-// set_cancel); connectivity is taken from the context's cache unless the
-// caller passes a hint.
+// The crossover is a tunable with the paper's observed default; the sparse
+// cut is fixed (measured in EXPERIMENTS.md).  Deadline and external
+// cancellation come from the RunContext (set_deadline_ms / set_cancel);
+// connectivity is taken from the context's cache unless the caller passes a
+// hint.
 #pragma once
 
 #include <string>
@@ -25,9 +30,15 @@ namespace llpmst {
 
 class RunContext;
 
+/// Edges per vertex below which a graph is sparse (m < 4n): from two
+/// threads up such a graph goes to LLP-Boruvka, connected or not, with no
+/// connectivity census.  Measured in EXPERIMENTS.md ("auto's sparse cut").
+inline constexpr std::size_t kSparseEdgesPerVertex = 4;
+
 /// Caller knowledge about the input's connectivity (kUnknown triggers a
-/// cached union-find check through RunContext::connected() at 2+ threads;
-/// one thread picks the same engine either way and skips it).
+/// cached union-find check through RunContext::connected() for a dense graph
+/// at 2+ threads; one thread, or a sparse graph, picks the same engine
+/// either way and skips it).
 enum class Connectivity { kUnknown, kConnected, kDisconnected };
 
 struct AutoMstOptions {

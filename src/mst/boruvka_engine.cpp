@@ -131,8 +131,8 @@ struct Engine {
         s(scratch),
         threads(p.num_threads()) {}
 
-  /// Round 1 setup: identity parents and the CSR's precomputed per-vertex
-  /// minima ("the MWE set can be computed when the graph is input").
+  /// Round 1 setup: the CSR's precomputed per-vertex minima ("the MWE set
+  /// can be computed when the graph is input").
   void init_round1() {
     const std::size_t n = g.num_vertices();
     k = n;
@@ -141,7 +141,6 @@ struct Engine {
     s.partner.resize(n);
     s.msf_edges.resize(n == 0 ? 0 : n - 1);  // an MSF has at most n-1 edges
     parallel_for_static(pool, 0, n, [this](std::size_t v) {
-      s.parent[v] = static_cast<VertexId>(v);
       s.best[v] = g.min_incident_priority(static_cast<VertexId>(v));
     });
   }
@@ -198,23 +197,41 @@ struct Engine {
   }
 
   /// Hook: every component with an outgoing MWE picks its parent across it;
-  /// mutual choices are broken by id (smaller id stays root).  The hooking
-  /// side emits the edge (into a unique cursor slot), so each MSF edge is
-  /// emitted exactly once; finalize_result sorts, so order is free.
+  /// mutual choices are broken by id (smaller id stays root).  Every
+  /// parent[c] of the round is written here (roots point at themselves), so
+  /// neither round 1 nor contraction has to reset the links.  The hooking
+  /// side emits the edge, so each MSF edge is emitted exactly once: a chunk
+  /// counts its hooks, claims that many slots with one fetch_add, and writes
+  /// best[c] for every c whose parent left c.  Slot order depends on which
+  /// chunk claims first; finalize_result orders the ids, so that is free.
   void hook() {
     obs::PhaseTimer span("hook");
-    parallel_for_adaptive(pool, 0, k, s.vertex_grain, [this](std::size_t c) {
-      const EdgePriority p = s.best[c];
-      if (p == kInfinitePriority) return;  // no incident edges (round 1 only)
-      const VertexId pw = s.partner[c];
-      LLPMST_ASSERT(pw < k && pw != static_cast<VertexId>(c));
-      if (s.best[pw] == p && static_cast<VertexId>(c) < pw) {
-        return;  // mutual MWE: c stays the root of the merged component
-      }
-      s.parent[c] = pw;
-      s.msf_edges[emit_pos.fetch_add(1, std::memory_order_relaxed)] =
-          priority_edge(p);
-    });
+    parallel_chunks_adaptive(
+        pool, 0, k, s.hook_grain,
+        [this](std::size_t lo, std::size_t hi, std::size_t) {
+          std::uint32_t hooks = 0;
+          for (std::size_t c = lo; c < hi; ++c) {
+            const auto self = static_cast<VertexId>(c);
+            const EdgePriority p = s.best[c];
+            VertexId to = self;  // no incident edges (round 1 only): root
+            if (p != kInfinitePriority) {
+              const VertexId pw = s.partner[c];
+              LLPMST_ASSERT(pw < k && pw != self);
+              // Mutual MWE: the smaller id stays the merged component's root.
+              if (s.best[pw] != p || pw < self) to = pw;
+            }
+            s.parent[c] = to;
+            hooks += to != self ? 1u : 0u;
+          }
+          if (hooks == 0) return;
+          std::uint32_t pos =
+              emit_pos.fetch_add(hooks, std::memory_order_relaxed);
+          for (std::size_t c = lo; c < hi; ++c) {
+            if (s.parent[c] != static_cast<VertexId>(c)) {
+              s.msf_edges[pos++] = priority_edge(s.best[c]);
+            }
+          }
+        });
   }
 
   /// Pointer jumping: collapse every component to a rooted star.
@@ -228,45 +245,67 @@ struct Engine {
       // EVERY node on the chase path, not just the starting vertex — the
       // next vertex sharing a suffix of the path finds its root in O(1).
       ++jump_rounds;
-      parallel_for_adaptive(pool, 0, k, s.vertex_grain, [this](std::size_t v) {
-        VertexId root = rel_load(s.parent[v]);
-        if (root == static_cast<VertexId>(v)) return;
-        std::uint64_t steps = 0;
-        for (;;) {
-          const VertexId up = rel_load(s.parent[root]);
-          if (up == root) break;
-          root = up;
-          ++steps;
-        }
-        VertexId cur = static_cast<VertexId>(v);
-        while (cur != root) {
-          const VertexId nxt = rel_load(s.parent[cur]);
-          rel_store(s.parent[cur], root);
-          cur = nxt;
-        }
-        if (steps != 0) {
-          jump_count.fetch_add(steps, std::memory_order_relaxed);
-        }
-      });
+      parallel_chunks_adaptive(
+          pool, 0, k, s.jump_grain,
+          [this](std::size_t lo, std::size_t hi, std::size_t) {
+            std::uint64_t steps = 0;  // one jump_count add per chunk
+            for (std::size_t v = lo; v < hi; ++v) {
+              VertexId root = rel_load(s.parent[v]);
+              if (root == static_cast<VertexId>(v)) continue;
+              for (;;) {
+                const VertexId up = rel_load(s.parent[root]);
+                if (up == root) break;
+                root = up;
+                ++steps;
+              }
+              VertexId cur = static_cast<VertexId>(v);
+              while (cur != root) {
+                const VertexId nxt = rel_load(s.parent[cur]);
+                rel_store(s.parent[cur], root);
+                cur = nxt;
+              }
+            }
+            if (steps != 0) {
+              jump_count.fetch_add(steps, std::memory_order_relaxed);
+            }
+          });
     } else {
       // Bulk-synchronous double-buffered jumping; each iteration is a full
       // team barrier (this is the synchronization LLP-Boruvka removes).
+      // Chunks fold their change flag and jump count locally and publish
+      // them once, so no per-vertex store lands on a shared line.
       s.jump_buf.resize(k);
       for (;;) {
         ++jump_rounds;
         std::atomic<bool> changed{false};
-        parallel_for(pool, 0, k, [this, &changed](std::size_t v) {
-          const VertexId p = s.parent[v];
-          const VertexId pp = s.parent[p];
-          s.jump_buf[v] = pp;
-          if (pp != p) changed.store(true, std::memory_order_relaxed);
-        });
-        parallel_for(pool, 0, k, [this](std::size_t v) {
-          if (s.parent[v] != s.jump_buf[v]) {
-            s.parent[v] = s.jump_buf[v];
-            jump_count.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
+        parallel_chunks(pool, 0, k, detail::kDynamicChunk,
+                        [this, &changed](std::size_t lo, std::size_t hi,
+                                         std::size_t) {
+                          bool moved = false;
+                          for (std::size_t v = lo; v < hi; ++v) {
+                            const VertexId p = s.parent[v];
+                            const VertexId pp = s.parent[p];
+                            s.jump_buf[v] = pp;
+                            moved |= pp != p;
+                          }
+                          if (moved) {
+                            changed.store(true, std::memory_order_relaxed);
+                          }
+                        });
+        parallel_chunks(pool, 0, k, detail::kDynamicChunk,
+                        [this](std::size_t lo, std::size_t hi, std::size_t) {
+                          std::uint64_t moved = 0;
+                          for (std::size_t v = lo; v < hi; ++v) {
+                            if (s.parent[v] != s.jump_buf[v]) {
+                              s.parent[v] = s.jump_buf[v];
+                              ++moved;
+                            }
+                          }
+                          if (moved != 0) {
+                            jump_count.fetch_add(moved,
+                                                 std::memory_order_relaxed);
+                          }
+                        });
         if (!changed.load(std::memory_order_relaxed)) break;
       }
     }
@@ -437,13 +476,10 @@ struct Engine {
           }
         });
 
-    // The old component space is dead: shrink the per-component arrays and
-    // re-establish identity parents for the dense space.
+    // The old component space is dead: shrink the per-component arrays
+    // (the next hook rewrites every parent link).
     s.parent.resize(k_new);
     s.partner.resize(k_new);
-    parallel_for_adaptive(pool, 0, k_new, s.vertex_grain, [this](std::size_t c) {
-      s.parent[c] = static_cast<VertexId>(c);
-    });
     s.contract_grain.update(me,
                             static_cast<double>(detail::grain_clock_ns() - t0));
   }

@@ -102,7 +102,8 @@ struct BoruvkaScratch {
   std::vector<EdgeId> dropped;            // collect_dropped_edges gather
   GrainFeedback extract_grain;  // MWE extract sweep (reads, rare writes)
   GrainFeedback contract_grain;  // contraction sweeps (relabel + filter)
-  GrainFeedback vertex_grain;    // per-component sweeps (hook, jumping)
+  GrainFeedback hook_grain;      // per-component hook sweep
+  GrainFeedback jump_grain;      // asynchronous pointer-jumping sweep
 };
 
 struct BoruvkaConfig {

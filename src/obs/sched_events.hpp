@@ -35,9 +35,9 @@ namespace llpmst::obs {
 enum class SchedEventKind : std::uint8_t {
   /// Span: one worker's share of a team region; value = duration in us.
   kTask = 0,
-  /// Point: parallel_for_adaptive dispatched a team; value = chosen grain.
+  /// Point: parallel_chunks_adaptive dispatched a team; value = chosen grain.
   kGrain = 1,
-  /// Point: parallel_for_adaptive ran inline (predicted cost below the
+  /// Point: parallel_chunks_adaptive ran inline (predicted cost below the
   /// serial cutoff); value = range size.
   kGrainSerial = 2,
 };

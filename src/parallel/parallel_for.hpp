@@ -3,7 +3,8 @@
 //   parallel_for(pool, 0, n, [&](std::size_t i) { ... });          // dynamic
 //   parallel_for_static(pool, 0, n, [&](std::size_t i) { ... });   // static
 //   parallel_blocks(pool, 0, n, [&](size_t lo, size_t hi, size_t w) {...});
-//   parallel_for_adaptive(pool, 0, n, grain_feedback, body);       // adaptive
+//   parallel_chunks_adaptive(pool, 0, n, grain_feedback,
+//                            [&](size_t lo, size_t hi, size_t w) {...});
 //
 // The dynamic variant hands out fixed-size chunks from a shared atomic
 // counter — good for irregular per-element cost (graph loops whose cost is a
@@ -40,7 +41,7 @@ inline constexpr std::size_t kDynamicChunk = 1024;
 inline std::uint64_t grain_clock_ns() { return vtime::steady_now_ns(); }
 }  // namespace detail
 
-/// Per-call-site grain controller for parallel_for_adaptive.
+/// Per-call-site grain controller for parallel_chunks_adaptive.
 ///
 /// The caller keeps one instance per loop site (e.g. a member of a scratch
 /// struct reused across Boruvka rounds).  Each invocation times the whole
@@ -127,33 +128,6 @@ void parallel_for(Executor& pool, std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) body(i);
     }
   });
-}
-
-/// Adaptive-grain dynamic parallel for: chunk size (and the serial-inline
-/// decision) come from `feedback`, which this call then updates with the
-/// measured cost.  Use one GrainFeedback per loop site; loops that repeat
-/// with similar per-element cost (Boruvka rounds) converge on a grain that
-/// amortizes scheduling without starving load balance.
-template <typename Body>
-void parallel_for_adaptive(Executor& pool, std::size_t begin,
-                           std::size_t end, GrainFeedback& feedback,
-                           Body&& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::uint64_t t0 = detail::grain_clock_ns();
-  if (pool.num_threads() == 1 || feedback.prefers_serial(n)) {
-    if (obs::sched_collecting()) {
-      obs::sched_record(obs::SchedEventKind::kGrainSerial, obs::now_us(), n);
-    }
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  } else {
-    const std::size_t g = feedback.grain(n, pool.num_threads());
-    if (obs::sched_collecting()) {
-      obs::sched_record(obs::SchedEventKind::kGrain, obs::now_us(), g);
-    }
-    parallel_for(pool, begin, end, body, g);
-  }
-  feedback.update(n, static_cast<double>(detail::grain_clock_ns() - t0));
 }
 
 /// Dynamic parallel for that polls a CancelToken between chunks: when the
@@ -271,6 +245,35 @@ void parallel_chunks(Executor& pool, std::size_t begin, std::size_t end,
       body(lo, hi, w);
     }
   });
+}
+
+/// Adaptive-grain parallel_chunks: the chunk size and the serial-inline
+/// decision come from `feedback`, which this call then updates with the
+/// measured cost.  Use one GrainFeedback per loop site; loops that repeat
+/// with similar per-element cost (Boruvka rounds) converge on a grain that
+/// amortizes scheduling without starving load balance.  The inline path is
+/// ONE body(begin, end, 0) call, so per-chunk work such as claiming an
+/// output range happens once.
+template <typename ChunkBody>
+void parallel_chunks_adaptive(Executor& pool, std::size_t begin,
+                              std::size_t end, GrainFeedback& feedback,
+                              ChunkBody&& body) {
+  if (begin >= end) return;
+  const std::size_t n = end - begin;
+  const std::uint64_t t0 = detail::grain_clock_ns();
+  if (pool.num_threads() == 1 || feedback.prefers_serial(n)) {
+    if (obs::sched_collecting()) {
+      obs::sched_record(obs::SchedEventKind::kGrainSerial, obs::now_us(), n);
+    }
+    body(begin, end, std::size_t{0});
+  } else {
+    const std::size_t g = feedback.grain(n, pool.num_threads());
+    if (obs::sched_collecting()) {
+      obs::sched_record(obs::SchedEventKind::kGrain, obs::now_us(), g);
+    }
+    parallel_chunks(pool, begin, end, g, body);
+  }
+  feedback.update(n, static_cast<double>(detail::grain_clock_ns() - t0));
 }
 
 /// Runs body(lo, hi, worker_id) on per-worker contiguous blocks covering

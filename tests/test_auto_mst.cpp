@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators/random_graph.hpp"
+#include "graph/generators/rmat.hpp"
 #include "graph/generators/road.hpp"
 #include "graph/generators/special.hpp"
 #include "mst/auto.hpp"
@@ -15,11 +16,44 @@ namespace {
 
 using test::csr;
 
+// Sparse (m/n ~ 1.9) and connected: 2+ threads pick LLP-Boruvka.
 CsrGraph road_graph() {
   RoadParams p;
   p.width = 40;
   p.height = 40;
   return csr(generate_road_network(p));
+}
+
+// Dense (m/n ~ 8) and connected: above auto's sparse cut, so 2+ threads
+// below the crossover pick parallel LLP-Prim after the connectivity census.
+CsrGraph dense_connected_graph() {
+  ErdosRenyiParams p;
+  p.num_vertices = 1024;
+  p.num_edges = 8192;
+  p.seed = 3;
+  EdgeList list = generate_erdos_renyi(p);
+  connect_components(list);
+  return csr(list);
+}
+
+// Dense (m/n ~ 10) Graph500-style R-MAT with many components.
+CsrGraph dense_forest_graph() {
+  RmatParams p;
+  p.scale = 10;
+  p.seed = 3;
+  return csr(generate_rmat(p));
+}
+
+TEST(AutoMst, FixturesSitOnTheirSideOfTheSparseCut) {
+  const CsrGraph road = road_graph();
+  const CsrGraph dense = dense_connected_graph();
+  const CsrGraph forest = dense_forest_graph();
+  EXPECT_LT(road.num_edges(), kSparseEdgesPerVertex * road.num_vertices());
+  EXPECT_GE(dense.num_edges(), kSparseEdgesPerVertex * dense.num_vertices());
+  EXPECT_GE(forest.num_edges(),
+            kSparseEdgesPerVertex * forest.num_vertices());
+  EXPECT_EQ(kruskal(dense).num_trees, 1u);
+  EXPECT_GT(kruskal(forest).num_trees, 1u);
 }
 
 TEST(AutoMst, SingleThreadPicksSequentialLlpPrim) {
@@ -34,7 +68,7 @@ TEST(AutoMst, SingleThreadPicksSequentialLlpPrim) {
 TEST(AutoMst, FewThreadsPickParallelLlpPrim) {
   ThreadPool pool(4);
   RunContext ctx(pool);
-  const CsrGraph g = road_graph();
+  const CsrGraph g = dense_connected_graph();
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
   EXPECT_EQ(r.algorithm, "llp-prim-parallel");
   EXPECT_EQ(r.result.edges, kruskal(g).edges);
@@ -43,7 +77,7 @@ TEST(AutoMst, FewThreadsPickParallelLlpPrim) {
 TEST(AutoMst, ManyThreadsPickLlpBoruvka) {
   ThreadPool pool(8);
   RunContext ctx(pool);
-  const CsrGraph g = road_graph();
+  const CsrGraph g = dense_connected_graph();
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
   EXPECT_EQ(r.algorithm, "llp-boruvka");
   EXPECT_EQ(r.result.edges, kruskal(g).edges);
@@ -75,7 +109,7 @@ TEST(AutoMst, MultiThreadDisconnectedPicksLlpBoruvka) {
 TEST(AutoMst, ConnectivityHintSkipsTheCheck) {
   ThreadPool pool(2);
   RunContext ctx(pool);
-  const CsrGraph g = road_graph();
+  const CsrGraph g = dense_connected_graph();
   AutoMstOptions opts;
   opts.connectivity = Connectivity::kConnected;
   const AutoMstResult hinted = minimum_spanning_forest(g, ctx, opts);
@@ -89,7 +123,7 @@ TEST(AutoMst, ConnectivityHintSkipsTheCheck) {
 TEST(AutoMst, CrossoverTunable) {
   ThreadPool pool(4);
   RunContext ctx(pool);
-  const CsrGraph g = road_graph();
+  const CsrGraph g = dense_connected_graph();
   AutoMstOptions opts;
   opts.connectivity = Connectivity::kConnected;
   opts.boruvka_crossover = 2;  // lower the crossover below the pool size
@@ -109,7 +143,7 @@ TEST(AutoMst, EmptyGraph) {
 TEST(AutoMst, ConnectivityAnswerIsCachedOnTheContext) {
   ThreadPool pool(2);
   RunContext ctx(pool);
-  const CsrGraph g = road_graph();
+  const CsrGraph g = dense_connected_graph();
   EXPECT_FALSE(ctx.components_cached(g));
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
   // The selection's connectivity check seeds the cache; downstream
@@ -117,6 +151,40 @@ TEST(AutoMst, ConnectivityAnswerIsCachedOnTheContext) {
   EXPECT_TRUE(ctx.components_cached(g));
   EXPECT_EQ(ctx.num_components(g), 1u);
   EXPECT_EQ(r.result.num_trees, 1u);
+}
+
+TEST(AutoMst, SparseGraphAtFourThreadsPicksLlpBoruvkaWithoutCensus) {
+  // Below the sparse cut LLP-Boruvka wins connected or not, so the pick
+  // skips the census.
+  ThreadPool pool(4);
+  RunContext ctx(pool);
+  const CsrGraph g = road_graph();
+  const AutoMstResult r = minimum_spanning_forest(g, ctx);
+  EXPECT_EQ(r.algorithm, "llp-boruvka");
+  EXPECT_EQ(r.result.edges, kruskal(g).edges);
+  EXPECT_FALSE(ctx.components_cached(g));
+}
+
+TEST(AutoMst, DenseConnectedGraphAtTwoThreadsKeepsParallelLlpPrim) {
+  ThreadPool pool(2);
+  RunContext ctx(pool);
+  const CsrGraph g = dense_connected_graph();
+  const AutoMstResult r = minimum_spanning_forest(g, ctx);
+  EXPECT_EQ(r.algorithm, "llp-prim-parallel");
+  EXPECT_EQ(r.result.edges, kruskal(g).edges);
+  EXPECT_TRUE(ctx.components_cached(g));
+}
+
+TEST(AutoMst, DenseForestAtTwoThreadsPicksLlpBoruvkaAfterCensus) {
+  // Above the sparse cut the census decides: parallel LLP-Prim is
+  // tree-only, so a dense forest still goes to LLP-Boruvka.
+  ThreadPool pool(2);
+  RunContext ctx(pool);
+  const CsrGraph g = dense_forest_graph();
+  const AutoMstResult r = minimum_spanning_forest(g, ctx);
+  EXPECT_EQ(r.algorithm, "llp-boruvka");
+  EXPECT_EQ(r.result.edges, kruskal(g).edges);
+  EXPECT_TRUE(ctx.components_cached(g));
 }
 
 TEST(AutoMst, SingleThreadSkipsTheConnectivityCensus) {

@@ -1,6 +1,7 @@
 // Round-by-round invariants of the Boruvka engine's fused contraction path
-// (self-loop drop + bundle-min filter + dense relabeling in one sweep), plus
-// a wide randomized cross-check against kruskal.
+// (self-loop drop + bundle-min filter + dense relabeling in one sweep), the
+// hook's chunked MSF-edge emission, plus a wide randomized cross-check
+// against kruskal.
 //
 // The checks lean on two facts the engine must preserve:
 //   * an MSF edge is emitted in the SAME round its endpoints merge, becomes
@@ -21,6 +22,7 @@
 #include "graph/generators/special.hpp"
 #include "mst/boruvka_engine.hpp"
 #include "mst/kruskal.hpp"
+#include "sim/sim_executor.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -235,6 +237,88 @@ TEST_P(BoruvkaContraction, HundredSeedCrossCheckVsKruskal) {
             << "dedup=" << dedup << " n=" << g.num_vertices()
             << " m=" << g.num_edges();
         check_rounds(g, reference, log, dedup);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------- hook emission claims
+
+/// The hook claims one output range per chunk and fills it with the chunk's
+/// hooked components, so every schedule must emit each MSF edge exactly
+/// once.  Runs the engine on `exec` with a fresh scratch (the first hook
+/// and jump of a fresh scratch always dispatch the team) and checks the
+/// per-round counts against n - trees, the raw emitted ids (left in claim
+/// order in the scratch) for repeats, and the forest against Kruskal's.
+void check_emission(const CsrGraph& g, const MstResult& reference,
+                    Executor& exec, PointerJumping jumping) {
+  RunContext ctx;
+  ctx.attach_executor(&exec);
+  BoruvkaScratch scratch;
+  BoruvkaConfig c;
+  c.jumping = jumping;
+  c.scratch = &scratch;
+  std::size_t emitted = 0;
+  c.round_observer = [&emitted](const BoruvkaRoundStats& info) {
+    emitted += info.msf_edges_emitted;
+  };
+  const MstResult r = boruvka_engine(g, ctx, c);
+  ASSERT_EQ(r.edges, reference.edges);
+  EXPECT_EQ(emitted, g.num_vertices() - reference.num_trees);
+  ASSERT_LE(emitted, scratch.msf_edges.size());
+  const std::set<EdgeId> distinct(
+      scratch.msf_edges.begin(),
+      scratch.msf_edges.begin() + static_cast<std::ptrdiff_t>(emitted));
+  EXPECT_EQ(distinct.size(), emitted) << "an emitted id repeats";
+}
+
+struct EmissionGraph {
+  const char* name;
+  CsrGraph g;
+  MstResult reference;
+};
+
+/// Star: every leaf hooks into the centre in round 1, so every hook chunk
+/// claims a range at once.  Path: long parent chains for the jump.
+/// Forest: several trees, so n - trees is not n - 1.
+std::vector<EmissionGraph> emission_graphs() {
+  std::vector<EmissionGraph> out;
+  out.push_back({"star", csr(make_star(4096)), {}});
+  out.push_back({"path", csr(make_path(4096)), {}});
+  out.push_back({"forest", csr(make_forest(16, 256, 5)), {}});
+  for (EmissionGraph& e : out) e.reference = kruskal(e.g);
+  return out;
+}
+
+TEST(BoruvkaHookEmission, EachMsfEdgeIsEmittedOnceAtOneTwoAndFourThreads) {
+  for (const EmissionGraph& e : emission_graphs()) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      for (const auto jumping :
+           {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
+        SCOPED_TRACE(testing::Message()
+                     << e.name << " threads=" << threads << " async="
+                     << (jumping == PointerJumping::kAsynchronous));
+        check_emission(e.g, e.reference, pool, jumping);
+      }
+    }
+  }
+}
+
+TEST(BoruvkaHookEmission, EachMsfEdgeIsEmittedOnceUnderSimulatedSchedules) {
+  const std::vector<EmissionGraph> graphs = emission_graphs();
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    for (const EmissionGraph& e : graphs) {
+      for (const auto jumping :
+           {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
+        SCOPED_TRACE(testing::Message()
+                     << e.name << " sim seed " << seed << " async="
+                     << (jumping == PointerJumping::kAsynchronous));
+        sim::SimExecutor::Options o;
+        o.seed = seed;
+        o.workers = 4;
+        sim::SimExecutor exec(o);
+        check_emission(e.g, e.reference, exec, jumping);
       }
     }
   }

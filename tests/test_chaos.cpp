@@ -46,6 +46,12 @@ CsrGraph connected_graph() {
   return csr(find_scenario("road-baseline")->make(kConnectedSeed));
 }
 
+CsrGraph dense_connected_graph() {
+  // Bundled clusters: connected with m/n ~ 14, above auto's sparse cut, so
+  // auto at 4 threads still picks llp-prim-parallel.
+  return csr(find_scenario("bundle-storm")->make(kConnectedSeed));
+}
+
 CsrGraph sparse_random_graph() {
   // ER topology with near-duplicate weights: sparse AND tie-break heavy.
   return csr(find_scenario("near-duplicate-weights")->make(kSparseSeed));
@@ -235,9 +241,10 @@ TEST_F(Chaos, WatchdogStopsAWedgedLlpSolve) {
 // ------------------------------------------------- graceful degradation
 
 TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedPrimFault) {
-  const CsrGraph g = connected_graph();
+  const CsrGraph g = dense_connected_graph();
   const MstResult reference = kruskal(g);
-  ThreadPool pool(4);  // connected + below the crossover -> llp-prim-parallel
+  // Dense + connected + below the crossover -> llp-prim-parallel.
+  ThreadPool pool(4);
   RunContext ctx(pool);
   ASSERT_TRUE(fail::arm("llp_prim/handoff", "return"));
 
@@ -268,7 +275,7 @@ TEST_F(Chaos, AutoFallsBackToKruskalOnDeadline) {
   // An already-expired deadline plus a stall on every handoff: the parallel
   // run stops at its first checkpoint and the portfolio must recover with a
   // full sequential answer, not hand back the empty partial forest.
-  const CsrGraph g = connected_graph();
+  const CsrGraph g = dense_connected_graph();
   const MstResult reference = kruskal(g);
   ThreadPool pool(4);
   RunContext ctx(pool);
@@ -297,7 +304,7 @@ TEST_F(Chaos, AutoHonoursUserCancelWithoutFallback) {
 }
 
 TEST_F(Chaos, FallbackCanBeDisabled) {
-  const CsrGraph g = connected_graph();
+  const CsrGraph g = dense_connected_graph();
   ThreadPool pool(4);
   RunContext ctx(pool);
   ASSERT_TRUE(fail::arm("llp_prim/handoff", "return"));

@@ -85,7 +85,7 @@ TEST_P(ParallelPrimitives, BlocksCoverRangeWithoutOverlap) {
 
 // --- GrainFeedback: the adaptive-grain controller. --------------------
 // The clamp bounds [128, 65536] and the ~30us serial cutoff are part of
-// the contract parallel_for_adaptive call sites tune against.
+// the contract parallel_chunks_adaptive call sites tune against.
 
 TEST(GrainFeedback, GrainClampsToFloorWhenElementsAreExpensive) {
   GrainFeedback fb;
@@ -141,9 +141,12 @@ TEST_P(ParallelPrimitives, AdaptiveForVisitsEveryIndexOnceAcrossRounds) {
   for (int rep = 0; rep < 3; ++rep) {
     std::vector<std::atomic<int>> hits(n);
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    parallel_for_adaptive(pool_, 0, n, fb, [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
+    parallel_chunks_adaptive(
+        pool_, 0, n, fb, [&](std::size_t lo, std::size_t hi, std::size_t) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+          }
+        });
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "rep " << rep << " index " << i;
     }
@@ -158,13 +161,17 @@ TEST_P(ParallelPrimitives, AdaptiveForRunsInlineBelowTheSerialCutoff) {
   const std::thread::id me = std::this_thread::get_id();
   std::atomic<int> calls{0};
   std::atomic<int> off_thread{0};
-  parallel_for_adaptive(pool_, 0, 256, fb, [&](std::size_t) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    if (std::this_thread::get_id() != me) {
-      off_thread.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(calls.load(), 256);
+  parallel_chunks_adaptive(
+      pool_, 0, 256, fb, [&](std::size_t lo, std::size_t hi, std::size_t) {
+        // Inline means one call over the whole range.
+        EXPECT_EQ(lo, 0u);
+        EXPECT_EQ(hi, 256u);
+        calls.fetch_add(1, std::memory_order_relaxed);
+        if (std::this_thread::get_id() != me) {
+          off_thread.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+  EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(off_thread.load(), 0)
       << "serial-cutoff path dispatched a team anyway";
 }
